@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <future>
+#include <memory>
+#include <mutex>
 
 #include "atpg/fault_sim.hpp"
 #include "netlist/design_db.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace tpi {
@@ -28,11 +32,11 @@ void pack_batch(const std::vector<const TestPattern*>& batch, std::size_t num_in
                 std::vector<Word>& words) {
   words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    const auto& bits = batch[k]->bits;
+    const TestPattern& p = *batch[k];
     const std::size_t j = k / kWordBits;
     const int bit = static_cast<int>(k % kWordBits);
     for (std::size_t i = 0; i < num_inputs; ++i) {
-      words[i * static_cast<std::size_t>(nw) + j] |= static_cast<Word>(bits[i] & 1) << bit;
+      words[i * static_cast<std::size_t>(nw) + j] |= static_cast<Word>(p.get(i)) << bit;
     }
   }
 }
@@ -67,6 +71,111 @@ void rebuild_live(FaultList& list, std::vector<Fault*>& live) {
   }
 }
 
+// Speculative targets in flight per PODEM worker: enough queued work that
+// a worker finishing a cheap call finds the next target waiting, few
+// enough that a fault-sim drop rarely invalidates many of them.
+constexpr std::size_t kWindowPerWorker = 4;
+
+// Phase 2's PODEM window. The caller pushes upcoming targets in target
+// order and consumes the results in the same order. With a pool, each
+// target runs on a pool worker on one of pool->size() Podem instances
+// (taken from an idle list: a pool runs at most size() tasks at once);
+// without one, push() runs PODEM inline, so the serial flow is the same
+// loop with a window of one. Correct because Podem::generate is a pure
+// function of the fault: a result computed early is the result the serial
+// loop computes on reaching the target.
+class PodemWindow {
+ public:
+  struct Slot {
+    std::size_t fault_index = 0;
+    Fault fault;  ///< the worker's copy; the caller updates statuses meanwhile
+    PodemResult result;
+    std::future<void> done;  ///< invalid once consumed, or when run inline
+  };
+
+  PodemWindow(const CombModel& model, const TestabilityResult& testability,
+              const PodemOptions& opts, ThreadPool* pool)
+      : pool_(pool), slots_(pool != nullptr ? pool->size() * kWindowPerWorker : 1) {
+    const std::size_t workers = pool != nullptr ? pool->size() : 1;
+    for (std::size_t i = 0; i < workers; ++i) {
+      podems_.push_back(std::make_unique<Podem>(model, testability, opts));
+      idle_.push_back(podems_.back().get());
+    }
+    for (Slot& s : slots_) s.result.cube.reserve(model.input_nets().size());
+  }
+
+  // In-flight tasks use the slots and the Podem instances.
+  ~PodemWindow() {
+    for (Slot& s : slots_) {
+      if (s.done.valid()) s.done.wait();
+    }
+  }
+
+  PodemWindow(const PodemWindow&) = delete;
+  PodemWindow& operator=(const PodemWindow&) = delete;
+
+  bool full() const { return count_ == slots_.size(); }
+  bool empty() const { return count_ == 0; }
+  /// Targets pushed so far (committed + discarded).
+  std::uint64_t pushed() const { return pushed_; }
+
+  void push(std::size_t fault_index, const Fault& fault) {
+    Slot& s = slots_[(head_ + count_) % slots_.size()];
+    ++count_;
+    ++pushed_;
+    s.fault_index = fault_index;
+    s.fault = fault;
+    if (pool_ == nullptr) {
+      idle_.front()->generate(s.fault, s.result);
+      return;
+    }
+    // Below the fault-sim chunks' priority 0, so a drop never waits for
+    // the queued part of the window.
+    s.done = pool_->submit_prioritized(-1, [this, &s] { run(s); });
+  }
+
+  /// The oldest target, after its result is ready.
+  Slot& front() {
+    Slot& s = slots_[head_];
+    if (s.done.valid()) s.done.get();
+    return s;
+  }
+
+  void pop() {
+    head_ = (head_ + 1) % slots_.size();
+    --count_;
+  }
+
+ private:
+  void run(Slot& s) {
+    Podem* podem = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      assert(!idle_.empty());
+      podem = idle_.back();
+      idle_.pop_back();
+    }
+    struct Release {
+      PodemWindow* w;
+      Podem* p;
+      ~Release() {
+        std::lock_guard<std::mutex> lock(w->mu_);
+        w->idle_.push_back(p);
+      }
+    } release{this, podem};
+    podem->generate(s.fault, s.result);
+  }
+
+  ThreadPool* pool_;
+  std::vector<std::unique_ptr<Podem>> podems_;
+  std::mutex mu_;
+  std::vector<Podem*> idle_;  ///< guarded by mu_; capacity podems_.size()
+  std::vector<Slot> slots_;   ///< ring: count_ slots from head_
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::uint64_t pushed_ = 0;
+};
+
 }  // namespace
 
 AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability,
@@ -79,7 +188,6 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
 
   FaultSimBank bank(model, opts.jobs);
   res.profile.jobs = bank.jobs();
-  Podem podem(model, testability, opts.podem);
   Rng rng(opts.seed);
   const std::size_t num_inputs = model.input_nets().size();
 
@@ -107,8 +215,8 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   // Reusable batch scaffolding, hoisted out of the per-batch loops: the
   // pattern slots (with their bit vectors), the packed input words and the
   // ref array are allocated once and refilled every batch.
-  std::vector<TestPattern> batch(static_cast<std::size_t>(kWordBits) * kMaxLaneWords);
-  for (TestPattern& p : batch) p.bits.resize(num_inputs);
+  std::vector<TestPattern> batch(static_cast<std::size_t>(kWordBits) * kMaxLaneWords,
+                                 TestPattern(num_inputs));
   std::vector<const TestPattern*> refs;
   refs.reserve(batch.size());
   std::vector<Word> words;
@@ -150,9 +258,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       const int nb = super_batch_words(opts.random_batches - b);
       const std::size_t count = static_cast<std::size_t>(nb) * kWordBits;
       for (std::size_t k = 0; k < count; ++k) {
-        for (auto& bit : batch[k].bits) {
-          bit = static_cast<std::uint8_t>(rng.next_bool() ? 1 : 0);
-        }
+        for (std::size_t i = 0; i < num_inputs; ++i) batch[k].set(i, rng.next_bool());
       }
       refs.clear();
       for (std::size_t k = 0; k < count; ++k) refs.push_back(&batch[k]);
@@ -228,45 +334,62 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       return pa < pb;
     });
 
-    std::size_t pos = 0;
-    while (pos < order.size() &&
-           static_cast<int>(res.patterns.size()) < opts.max_patterns) {
-      std::size_t batch_n = 0;
-      while (batch_n < kWordBits && pos < order.size()) {
-        Fault& f = res.faults.faults[order[pos++]];
-        if (f.status != FaultStatus::kUndetected) continue;
-        ++res.podem_calls;
-        const PodemResult pr = podem.generate(f);
-        res.podem_backtracks += pr.backtracks;
-        if (pr.outcome == PodemOutcome::kRedundant) {
-          f.status = FaultStatus::kRedundant;
-          continue;
-        }
-        if (pr.outcome == PodemOutcome::kAborted) {
-          f.status = FaultStatus::kAborted;
-          ++res.podem_aborts;
-          continue;
-        }
-        TestPattern& p = batch[batch_n++];
-        for (std::size_t i = 0; i < num_inputs; ++i) {
-          const Tern t = pr.cube[i];
-          p.bits[i] = t == Tern::kX ? static_cast<std::uint8_t>(rng.next_bool() ? 1 : 0)
-                                    : static_cast<std::uint8_t>(t == Tern::k1 ? 1 : 0);
-        }
-        if (loc) {
-          // The PODEM cube excites the capture-frame stuck-at equivalent;
-          // applied as the launch frame it is a best-effort (pseudo
-          // broadside) vector. When the fault site is a pseudo-input its
-          // launch value is directly controllable: force the transition's
-          // initial value (0 for slow-to-rise, 1 for slow-to-fall). The
-          // two-cycle grading below keeps only truthful detections.
-          const int slot = pseudo_input_slot[static_cast<std::size_t>(f.net)];
-          if (slot >= 0) p.bits[static_cast<std::size_t>(slot)] = f.stuck1 ? 1 : 0;
-        }
+    // Results are committed strictly in target order, exactly as a serial
+    // loop would: statuses change only at the 64-success drops (and for the
+    // committed target itself), so a target that is still kUndetected when
+    // dispatched is one the serial loop reaches unless a drop detects it
+    // first; such a result is discarded at commit time.
+    PodemWindow window(model, testability, opts.podem, bank.pool());
+    std::size_t next = 0;  // next position of `order` to dispatch
+    std::size_t batch_n = 0;
+    auto commit = [&](Fault& f, const PodemResult& pr) {
+      ++res.podem_calls;
+      res.podem_backtracks += pr.backtracks;
+      if (pr.outcome == PodemOutcome::kRedundant) {
+        f.status = FaultStatus::kRedundant;
+        return;
       }
-      if (batch_n == 0) continue;
-      simulate_and_keep(batch_n, res.profile.podem);
+      if (pr.outcome == PodemOutcome::kAborted) {
+        f.status = FaultStatus::kAborted;
+        ++res.podem_aborts;
+        return;
+      }
+      TestPattern& p = batch[batch_n++];
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        const Tern t = pr.cube[i];
+        p.set(i, t == Tern::kX ? rng.next_bool() : t == Tern::k1);
+      }
+      if (loc) {
+        // The PODEM cube excites the capture-frame stuck-at equivalent;
+        // applied as the launch frame it is a best-effort (pseudo
+        // broadside) vector. When the fault site is a pseudo-input its
+        // launch value is directly controllable: force the transition's
+        // initial value (0 for slow-to-rise, 1 for slow-to-fall). The
+        // two-cycle grading below keeps only truthful detections.
+        const int slot = pseudo_input_slot[static_cast<std::size_t>(f.net)];
+        if (slot >= 0) p.set(static_cast<std::size_t>(slot), f.stuck1);
+      }
+    };
+    while (static_cast<int>(res.patterns.size()) < opts.max_patterns) {
+      while (!window.full() && next < order.size()) {
+        const std::size_t fi = order[next++];
+        const Fault& f = res.faults.faults[fi];
+        if (f.status == FaultStatus::kUndetected) window.push(fi, f);
+      }
+      if (window.empty()) break;
+      PodemWindow::Slot& s = window.front();
+      Fault& f = res.faults.faults[s.fault_index];
+      if (f.status == FaultStatus::kUndetected) commit(f, s.result);
+      window.pop();
+      if (batch_n == kWordBits) {
+        simulate_and_keep(batch_n, res.profile.podem);
+        batch_n = 0;
+      }
     }
+    if (batch_n > 0) simulate_and_keep(batch_n, res.profile.podem);
+    // Job-count dependent (the window is), hence a runtime metric.
+    metrics().add("rt.atpg.podem_discarded",
+                  window.pushed() - static_cast<std::uint64_t>(res.podem_calls));
   }
   res.patterns_before_compaction = static_cast<int>(res.patterns.size());
   res.profile.podem.add(bank.take_stats());

@@ -9,6 +9,7 @@
 // (eq. 2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,8 +35,9 @@ struct AtpgOptions {
   int random_min_yield = 8;
   bool static_compaction = true;
   int max_patterns = 200000;
-  /// Fault-simulation worker threads (FaultSimBank): 1 = serial, <= 0 =
-  /// hardware concurrency. The AtpgResult is bit-identical for any value.
+  /// Worker threads for PODEM and fault simulation (the FaultSimBank's
+  /// pool): 1 = serial, <= 0 = hardware concurrency. The AtpgResult is
+  /// bit-identical for any value.
   int jobs = 1;
 };
 
@@ -68,7 +70,7 @@ struct AtpgPhaseProfile {
 /// Per-phase fault-sim kernel profile of one run_atpg() call — the
 /// measurable side of the parallel/cone-limited fault simulation.
 struct AtpgKernelProfile {
-  int jobs = 1;  ///< fault-sim workers actually used
+  int jobs = 1;  ///< PODEM and fault-sim workers actually used
   AtpgPhaseProfile random;      ///< phase 1: pseudo-random warm-up
   AtpgPhaseProfile podem;       ///< phase 2: PODEM + dynamic compaction
   AtpgPhaseProfile compaction;  ///< phase 3: reverse-order static compaction
@@ -88,9 +90,26 @@ struct AtpgKernelProfile {
 };
 
 /// One scan-test pattern: values for every controllable input (PIs and
-/// scan-cell states), aligned with CombModel::input_nets().
-struct TestPattern {
-  std::vector<std::uint8_t> bits;
+/// scan-cell states), aligned with CombModel::input_nets(). Bits are packed
+/// 64 to a word (input i is bit i%64 of words[i/64]); a flow keeps every
+/// pattern of every ATPG run, so one byte per bit would be 8x the memory.
+class TestPattern {
+ public:
+  explicit TestPattern(std::size_t num_inputs = 0)
+      : words_((num_inputs + 63) / 64, 0), size_(num_inputs) {}
+
+  std::size_t size() const { return size_; }
+  bool get(std::size_t i) const { return (words_[i / 64] >> (i % 64)) & 1u; }
+  void set(std::size_t i, bool v) {
+    const std::uint64_t m = std::uint64_t{1} << (i % 64);
+    words_[i / 64] = v ? words_[i / 64] | m : words_[i / 64] & ~m;
+  }
+
+  bool operator==(const TestPattern&) const = default;
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t size_;
 };
 
 struct AtpgResult {

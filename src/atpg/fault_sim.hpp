@@ -160,6 +160,10 @@ class FaultSimBank {
   /// Worker 0's simulator (serial helpers, tests).
   FaultSimulator& primary() { return *sims_.front(); }
 
+  /// The bank's jobs() worker threads; null when jobs() == 1. Other work
+  /// may share it (ATPG runs PODEM on it between grades).
+  ThreadPool* pool() const { return pool_.get(); }
+
   /// Load + evaluate the batch once (input-major wide layout, see
   /// FaultSimulator::load_batch), then copy the good state to every worker.
   void load_batch(const std::vector<Word>& input_words);

@@ -271,13 +271,20 @@ bool Podem::find_decision(NetId* in_net, Tern* in_val) {
   if (vg_[site] != want) return false;  // activation conflict: genuine dead end
   // Refresh the frontier list order (best first) and walk every candidate.
   pick_d_frontier();
-  std::vector<int> candidates = d_frontier_;
-  std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-    const NetId oa = model_.nodes()[static_cast<std::size_t>(a)].out;
-    const NetId ob = model_.nodes()[static_cast<std::size_t>(b)].out;
-    return scoap_.co[static_cast<std::size_t>(oa)] < scoap_.co[static_cast<std::size_t>(ob)];
+  // Stable order by CO without stable_sort's temporary buffer: ties are
+  // broken by frontier position, so std::sort gives the same sequence.
+  candidates_.clear();
+  for (std::size_t i = 0; i < d_frontier_.size(); ++i) {
+    const int ni = d_frontier_[i];
+    const NetId out = model_.nodes()[static_cast<std::size_t>(ni)].out;
+    candidates_.push_back(
+        Candidate{scoap_.co[static_cast<std::size_t>(out)], static_cast<std::uint32_t>(i), ni});
+  }
+  std::sort(candidates_.begin(), candidates_.end(), [](const Candidate& a, const Candidate& b) {
+    return a.co != b.co ? a.co < b.co : a.pos < b.pos;
   });
-  for (const int ni : candidates) {
+  for (const Candidate& c : candidates_) {
+    const int ni = c.node;
     bool found = false;
     const bool had_objectives = for_each_propagation_objective(ni, [&](NetId net, Tern v) {
       if (backtrace(net, v, in_net, in_val)) {
@@ -400,6 +407,14 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
 
 PodemResult Podem::generate(const Fault& fault) {
   PodemResult res;
+  generate(fault, res);
+  return res;
+}
+
+void Podem::generate(const Fault& fault, PodemResult& res) {
+  res.outcome = PodemOutcome::kAborted;
+  res.cube.clear();
+  res.backtracks = 0;
   fault_ = &fault;
   branch_reader_ = -1;
   direct_branch_capture_ = false;
@@ -417,7 +432,7 @@ PodemResult Podem::generate(const Fault& fault) {
       direct_branch_capture_ = spec->sequential && fault.branch.pin == spec->d_pin;
       if (!direct_branch_capture_) {
         res.outcome = PodemOutcome::kRedundant;  // unobservable branch
-        return res;
+        return;
       }
     }
   }
@@ -425,7 +440,7 @@ PodemResult Podem::generate(const Fault& fault) {
   truncated_ = false;
   if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
 
-  std::vector<Decision> decisions;
+  decisions_.clear();
   int backtracks = 0;
   while (true) {
     if (direct_branch_capture_ &&
@@ -440,14 +455,14 @@ PodemResult Podem::generate(const Fault& fault) {
         res.cube[i] = vg_[static_cast<std::size_t>(inputs[i])];
       }
       res.backtracks = backtracks;
-      return res;
+      return;
     }
     NetId in_net = kNoNet;
     Tern in_val = Tern::kX;
     const bool have_obj = find_decision(&in_net, &in_val);
     if (opts_.trace) {
       std::fprintf(stderr, "[podem] depth=%zu have_obj=%d net=%d val=%d frontier=%zu trunc=%d",
-                   decisions.size(), have_obj ? 1 : 0, have_obj ? in_net : -1,
+                   decisions_.size(), have_obj ? 1 : 0, have_obj ? in_net : -1,
                    have_obj ? static_cast<int>(in_val) : -1, d_frontier_.size(),
                    truncated_ ? 1 : 0);
       for (const int ni : d_frontier_) {
@@ -463,18 +478,18 @@ PodemResult Podem::generate(const Fault& fault) {
       d.input_index = input_index_[static_cast<std::size_t>(in_net)];
       d.value = in_val;
       d.trail_mark = trail_.size();
-      decisions.push_back(d);
+      decisions_.push_back(d);
       if (!assign_and_imply(in_net, in_val)) {
         res.outcome = PodemOutcome::kAborted;  // implication budget blown
         res.backtracks = backtracks;
-        return res;
+        return;
       }
       continue;
     }
     // Dead end: flip the most recent unflipped decision.
     bool flipped = false;
-    while (!decisions.empty()) {
-      Decision& d = decisions.back();
+    while (!decisions_.empty()) {
+      Decision& d = decisions_.back();
       // Undo its implications (reverse order restores every intermediate
       // composite value exactly).
       while (trail_.size() > d.trail_mark) {
@@ -490,26 +505,26 @@ PodemResult Podem::generate(const Fault& fault) {
         if (++backtracks > opts_.backtrack_limit) {
           res.outcome = PodemOutcome::kAborted;
           res.backtracks = backtracks;
-          return res;
+          return;
         }
         rebuild_d_frontier();
         const NetId net = model_.input_nets()[d.input_index];
         if (!assign_and_imply(net, d.value)) {
           res.outcome = PodemOutcome::kAborted;
           res.backtracks = backtracks;
-          return res;
+          return;
         }
         flipped = true;
         break;
       }
-      decisions.pop_back();
+      decisions_.pop_back();
     }
-    if (!flipped && decisions.empty()) {
+    if (!flipped && decisions_.empty()) {
       // Only a complete search proves redundancy; if any branch was pruned
       // by a heuristic shortcut the honest verdict is "aborted".
       res.outcome = truncated_ ? PodemOutcome::kAborted : PodemOutcome::kRedundant;
       res.backtracks = backtracks;
-      return res;
+      return;
     }
   }
 }

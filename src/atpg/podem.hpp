@@ -37,7 +37,13 @@ class Podem {
  public:
   Podem(const CombModel& model, const TestabilityResult& scoap, PodemOptions opts = {});
 
+  /// A pure function of (model, testability, options, fault): the result
+  /// does not depend on earlier calls, so any instance may serve any fault
+  /// in any order (parallel ATPG relies on this).
   PodemResult generate(const Fault& fault);
+  /// Same, into a caller-owned result whose cube capacity is reused: with
+  /// `out.cube` reserved to the input count the call does not allocate.
+  void generate(const Fault& fault, PodemResult& out);
 
  private:
   struct Decision {
@@ -83,6 +89,14 @@ class Podem {
   std::vector<char> is_input_;  ///< per net: controllable input
   std::vector<std::size_t> input_index_;  ///< net -> index into input_nets
   std::vector<char> observed_;
+  std::vector<Decision> decisions_;  ///< decision stack of the current call
+  /// D-frontier candidates of find_decision(), sorted by (CO, position).
+  struct Candidate {
+    float co;
+    std::uint32_t pos;
+    int node;
+  };
+  std::vector<Candidate> candidates_;
   bool detected_ = false;
   bool truncated_ = false;  ///< search shortcuts taken: exhaustion != proof
   std::int64_t implications_ = 0;

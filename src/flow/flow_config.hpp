@@ -51,6 +51,11 @@ namespace tpi {
 /// runner options live in soc/soc.hpp; this struct is only the
 /// env/JSON-facing surface, kept here so the flow layer stays below soc.
 struct SocKnobs {
+  // User-declared so the struct is not an aggregate: aggregate-initialised
+  // FlowConfig{} temporaries make GCC 12 report `schedule` as maybe
+  // uninitialized (-Wmaybe-uninitialized false positive).
+  SocKnobs() = default;
+
   /// Embedded core count; 0 = SOC mode off (TPI_SOC_CORES).
   int cores = 0;
   /// Chip-level TAM width in bits, >= 1 (TPI_SOC_TAM_WIDTH).

@@ -16,6 +16,7 @@ constexpr const char* begin_mark(Stage s) {
     case Stage::kEco: return "flow.eco.begin";
     case Stage::kExtract: return "flow.extract.begin";
     case Stage::kSta: return "flow.sta.begin";
+    case Stage::kVerify: return "flow.verify.begin";
   }
   return "flow.stage.begin";
 }

@@ -69,11 +69,11 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
     good.configure_lanes(nw);
     input_words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
     for (std::size_t k = 0; k < batch; ++k) {
-      const auto& bits = patterns[base + k].bits;
+      const TestPattern& pattern = patterns[base + k];
       const std::size_t j = k / kWordBits;
       const int bit = static_cast<int>(k % kWordBits);
-      for (std::size_t i = 0; i < num_inputs && i < bits.size(); ++i) {
-        if (bits[i] != 0) {
+      for (std::size_t i = 0; i < num_inputs && i < pattern.size(); ++i) {
+        if (pattern.get(i)) {
           input_words[i * static_cast<std::size_t>(nw) + j] |= Word{1} << bit;
         }
       }

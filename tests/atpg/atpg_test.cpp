@@ -7,6 +7,7 @@
 #include "circuits/generator.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
+#include "util/rng.hpp"
 
 namespace tpi {
 namespace {
@@ -63,7 +64,7 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
     const std::size_t end = std::min(r.patterns.size(), start + 64);
     for (std::size_t k = start; k < end; ++k) {
       for (std::size_t i = 0; i < ni; ++i) {
-        words[i] |= static_cast<Word>(r.patterns[k].bits[i] & 1) << (k - start);
+        words[i] |= static_cast<Word>(r.patterns[k].get(i)) << (k - start);
       }
     }
     fsim.load_batch(words);
@@ -111,6 +112,29 @@ TEST(AtpgTest, TestPointsReducePatternsOnHardCircuit) {
   EXPECT_LT(tp4.num_patterns(), base.num_patterns());
   EXPECT_GE(tp4.fault_coverage_pct, base.fault_coverage_pct - 0.25);
   EXPECT_GT(tp4.total_faults, base.total_faults);  // test points add faults
+}
+
+TEST(TestPatternTest, SetGetRoundTripAcrossWordBoundaries) {
+  Rng rng(5);
+  for (const std::size_t n : {0, 1, 63, 64, 65, 130}) {
+    TestPattern p(n);
+    EXPECT_EQ(p.size(), n);
+    std::vector<bool> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_FALSE(p.get(i)) << "fresh patterns are all-zero";
+      want[i] = rng.next_bool();
+      p.set(i, want[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(p.get(i), want[i]) << "n=" << n << " i=" << i;
+    // Overwrite in both directions: every bit flips, none leaks into its
+    // neighbours.
+    TestPattern q = p;
+    for (std::size_t i = 0; i < n; ++i) q.set(i, !want[i]);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(q.get(i), !want[i]) << "n=" << n << " i=" << i;
+    EXPECT_EQ(n == 0, q == p);
+    for (std::size_t i = 0; i < n; ++i) q.set(i, want[i]);
+    EXPECT_EQ(q, p);
+  }
 }
 
 TEST(AtpgMetricsTest, TestDataVolumeEquation1) {

@@ -206,5 +206,39 @@ TEST(PodemTest, BacktrackLimitYieldsAborted) {
   EXPECT_GT(aborted, 0);
 }
 
+// Parallel ATPG runs targets on whichever Podem instance is free, in any
+// order: generate() must be a pure function of the fault. One instance
+// generating the fault list forward and then backward (through the
+// result-reusing overload) must return identical results.
+TEST(PodemTest, ResultsIndependentOfCallOrder) {
+  CircuitProfile p = test::tiny_profile(7);
+  p.num_hard_blocks = 4;
+  p.hard_block_width = 10;
+  p.hard_classes_per_block = 12;
+  p.hard_mode_bits = 5;
+  auto nl = generate_circuit(lib(), p);
+  CombModel model(*nl, SeqView::kCapture);
+  const TestabilityResult t = analyze_testability(model);
+  const FaultList fl = build_fault_list(model);
+  Podem podem(model, t, {});
+
+  std::vector<PodemResult> forward;
+  for (const Fault& f : fl.faults) forward.push_back(podem.generate(f));
+  int outcomes[3] = {};
+  PodemResult reused;
+  for (std::size_t i = fl.faults.size(); i-- > 0;) {
+    podem.generate(fl.faults[i], reused);
+    EXPECT_EQ(reused.outcome, forward[i].outcome) << "fault " << i;
+    EXPECT_EQ(reused.cube, forward[i].cube) << "fault " << i;
+    EXPECT_EQ(reused.backtracks, forward[i].backtracks) << "fault " << i;
+    ++outcomes[static_cast<int>(reused.outcome)];
+  }
+  // Every outcome is exercised, so the order independence covers state left
+  // behind by tests, redundancy proofs and aborts alike.
+  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kTest)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kRedundant)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kAborted)], 0);
+}
+
 }  // namespace
 }  // namespace tpi

@@ -206,7 +206,7 @@ TEST(TransitionAtpgTest, EndToEndDeterministicAcrossJobs) {
     EXPECT_EQ(parallel.fault_coverage_pct, serial.fault_coverage_pct);
     ASSERT_EQ(parallel.patterns.size(), serial.patterns.size());
     for (std::size_t i = 0; i < serial.patterns.size(); ++i) {
-      EXPECT_EQ(parallel.patterns[i].bits, serial.patterns[i].bits) << "pattern " << i;
+      EXPECT_EQ(parallel.patterns[i], serial.patterns[i]) << "pattern " << i;
     }
   }
 }
