@@ -28,7 +28,6 @@
 
 #include "server/client.hpp"
 #include "util/json.hpp"
-#include "util/json_check.hpp"
 
 namespace {
 
@@ -45,14 +44,13 @@ void check(bool ok, const std::string& what) {
 // protocol: all our numbers are finite). Fails the run when the line is
 // not a valid response object.
 bool response_result(const std::string& line, tpi::JsonValue& result_out) {
-  std::string error;
-  if (!tpi::json_well_formed(line, &error)) {
-    check(false, "malformed response: " + error + " in " + line);
+  const tpi::JsonParseResult parsed = tpi::json_parse(line);
+  if (!parsed.ok) {
+    check(false, "malformed response: " + parsed.error + " in " + line);
     return false;
   }
-  const tpi::JsonParseResult parsed = tpi::json_parse(line);
-  if (!parsed.ok || !parsed.value.is_object()) {
-    check(false, "unparsable response: " + line);
+  if (!parsed.value.is_object()) {
+    check(false, "response is not an object: " + line);
     return false;
   }
   if (const tpi::JsonValue* err = parsed.value.find("error")) {

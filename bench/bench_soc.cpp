@@ -42,7 +42,7 @@ int main() {
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "%zu chips, %d core-flow jobs: wall %.2fs, cpu %.2fs\n\n"
+      "%zu chips, %d jobs: wall %.2fs, cpu %.2fs\n\n"
       "Expected shape: the diagonal-length packer never loses to the serial\n"
       "baseline (speedup >= 1.00x), and wider TAMs trade utilization for\n"
       "shorter chip TAT until the widest core wrapper saturates.\n",

@@ -19,7 +19,7 @@
 #include "circuits/generator.hpp"
 #include "flow/flow.hpp"
 #include "flow/trace_observer.hpp"
-#include "util/json_check.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -84,9 +84,9 @@ int main() {
   check(trace_write_json(path), "trace JSON written");
   const std::string json = read_file(path);
   check(!json.empty(), "trace file readable and non-empty");
-  std::string error;
-  if (!json_well_formed(json, &error)) {
-    std::fprintf(stderr, "[trace_smoke] FAIL: malformed JSON: %s\n", error.c_str());
+  const JsonParseResult parsed = json_parse(json);
+  if (!parsed.ok) {
+    std::fprintf(stderr, "[trace_smoke] FAIL: malformed JSON: %s\n", parsed.error.c_str());
     ++g_failures;
   }
   check(contains(json, "\"traceEvents\""), "traceEvents array present");
@@ -132,10 +132,10 @@ int main() {
       const TraceSink& sink = *sinks[static_cast<std::size_t>(j)];
       check(sink.event_count() > 0, "per-job sink captured spans");
       const std::string sink_json = sink.to_json();
-      std::string sink_error;
-      if (!json_well_formed(sink_json, &sink_error)) {
+      const JsonParseResult sink_parsed = json_parse(sink_json);
+      if (!sink_parsed.ok) {
         std::fprintf(stderr, "[trace_smoke] FAIL: job %d sink JSON malformed: %s\n",
-                     j, sink_error.c_str());
+                     j, sink_parsed.error.c_str());
         ++g_failures;
       }
       check(contains(sink_json, "\"process_name\""), "sink has a process_name row");

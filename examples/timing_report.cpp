@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
     profile.name = keep;
   }
 
-  // Timing only: mask off the ATPG stage instead of the legacy
-  // run_atpg = false flag.
+  // Timing only: mask off the ATPG stage.
   const StageMask timing_stages = StageMask::all().without(Stage::kReorderAtpg);
 
   FlowOptions base_opts;

@@ -65,14 +65,6 @@ std::string StageMask::to_string() const {
   return out.empty() ? "none" : out;
 }
 
-StageMask stage_mask_from(const FlowOptions& opts) {
-  StageMask mask = StageMask::all();
-  if (!opts.run_atpg) mask = mask.without(Stage::kReorderAtpg);
-  if (!opts.run_sta) mask = mask.without(Stage::kExtract).without(Stage::kSta);
-  if (opts.verify) mask = mask.with(Stage::kVerify);
-  return mask;
-}
-
 FlowEngine::FlowEngine(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts)
     : nl_(&nl), profile_(profile), opts_(opts) {
   db_.emplace(*nl_);
@@ -403,17 +395,6 @@ void FlowEngine::do_verify() {
                  << " claimed fault detections did not replay";
     }
   }
-}
-
-FlowResult run_flow(const CellLibrary& lib, const CircuitProfile& profile,
-                    const FlowOptions& opts) {
-  std::unique_ptr<Netlist> nl = generate_circuit(lib, profile);
-  return run_flow_on(*nl, profile, opts);
-}
-
-FlowResult run_flow_on(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts) {
-  FlowEngine engine(nl, profile, opts);
-  return engine.run(stage_mask_from(opts));
 }
 
 }  // namespace tpi

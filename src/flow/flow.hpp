@@ -13,9 +13,7 @@
 //
 // FlowEngine runs the stages one by one, times each, and reports progress
 // through an optional FlowObserver. Callers pick the stages they need with
-// a StageMask (partial flows, ablations); the legacy run_flow()/
-// run_flow_on() wrappers execute the full flow honoring the deprecated
-// FlowOptions::run_atpg / run_sta booleans.
+// a StageMask (partial flows, ablations).
 #pragma once
 
 #include <atomic>
@@ -50,12 +48,6 @@ struct FlowOptions {
   bool timing_driven_tpi = false;
   double timing_exclude_slack_ps = 400.0;
 
-  /// DEPRECATED (PR 6): select stages with FlowEngine::run(StageMask) or a
-  /// FlowConfig instead; these booleans exist only so the legacy
-  /// run_flow()/run_flow_on() shims can map them via stage_mask_from().
-  /// New code (benches, tests, the flow server) never reads them.
-  bool run_atpg = true;  ///< Table 1 needs it; Tables 2-3 do not
-  bool run_sta = true;
   AtpgOptions atpg;
   std::uint64_t seed = 0xF10F;
 
@@ -77,11 +69,6 @@ struct FlowOptions {
 /// the at-speed capture period (a production-tester shift clock is several
 /// times slower than F_max).
 inline constexpr double kAtSpeedSlowFactor = 4.0;
-
-/// StageMask equivalent of the deprecated run_atpg / run_sta booleans:
-/// all stages, minus reorder_atpg when !run_atpg, minus extract+sta when
-/// !run_sta, plus verify when opts.verify.
-StageMask stage_mask_from(const FlowOptions& opts);
 
 /// Result of the opt-in verify stage (see FlowOptions::verify).
 struct VerifySummary {
@@ -274,16 +261,5 @@ class FlowEngine {
   std::optional<RoutingResult> routes_;
   std::optional<ExtractionResult> extraction_;
 };
-
-/// DEPRECATED (PR 6): thin shim over FlowEngine kept for source compat;
-/// it honors the deprecated run_atpg/run_sta booleans via
-/// stage_mask_from(). New code constructs a FlowEngine (or a FlowConfig,
-/// see flow/flow_config.hpp) and passes an explicit StageMask.
-FlowResult run_flow(const CellLibrary& lib, const CircuitProfile& profile,
-                    const FlowOptions& opts);
-
-/// DEPRECATED (PR 6): same shim on a caller-supplied netlist (consumed/
-/// modified in place). Prefer FlowEngine(Netlist&, ...) + run(StageMask).
-FlowResult run_flow_on(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts);
 
 }  // namespace tpi

@@ -61,14 +61,13 @@ std::optional<Stage> stage_from_name(std::string_view name);
 /// extract, sta) gate their analyses only; in particular, masking off
 /// reorder_atpg skips compact ATPG while the scan-chain stitch — a
 /// structural prerequisite of the downstream layout stages — still runs
-/// (attributed to the eco stage), exactly matching the legacy
-/// `run_atpg = false` behaviour.
+/// (attributed to the eco stage).
 class StageMask {
  public:
   constexpr StageMask() = default;
 
   /// The six paper stages. The verify stage is opt-in: add it explicitly
-  /// with .with(Stage::kVerify) or via FlowOptions::verify.
+  /// with .with(Stage::kVerify) (FlowOptions::verify arms its snapshot).
   static constexpr StageMask all() { return StageMask((1u << kNumFlowStages) - 1u); }
   static constexpr StageMask none() { return StageMask(0); }
   /// Stages kTpiScan..s inclusive — the "run the flow up to here" mask.

@@ -2,28 +2,14 @@
 
 #include <sys/stat.h>
 
-#include <chrono>
 #include <cstdio>
-#include <future>
-#include <memory>
-#include <optional>
 #include <utility>
 
-#include "flow/flow_config.hpp"
 #include "flow/flow_json.hpp"
-#include "util/ledger.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -36,12 +22,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
-
 std::string stages_json(const StageTimings& t) {
   std::string out = "{";
   bool first = true;
@@ -51,7 +31,7 @@ std::string stages_json(const StageTimings& t) {
     out += "\"";
     out += stage_name(s);
     out += "\": ";
-    out += fmt_double(t[s]);
+    out += report_number(t[s]);
   }
   return out + "}";
 }
@@ -62,9 +42,9 @@ std::string atpg_profile_json(const AtpgKernelProfile& p) {
   const AtpgPhaseProfile t = p.total();
   std::string out = "{";
   out += "\"jobs\": " + std::to_string(p.jobs) + ", ";
-  out += "\"random_ms\": " + fmt_double(p.random.wall_ms) + ", ";
-  out += "\"podem_ms\": " + fmt_double(p.podem.wall_ms) + ", ";
-  out += "\"compaction_ms\": " + fmt_double(p.compaction.wall_ms) + ", ";
+  out += "\"random_ms\": " + report_number(p.random.wall_ms) + ", ";
+  out += "\"podem_ms\": " + report_number(p.podem.wall_ms) + ", ";
+  out += "\"compaction_ms\": " + report_number(p.compaction.wall_ms) + ", ";
   out += "\"batches\": " + std::to_string(t.batches) + ", ";
   out += "\"faults_graded\": " + std::to_string(t.faults_graded) + ", ";
   out += "\"cone_skips\": " + std::to_string(t.cone_skips) + ", ";
@@ -96,92 +76,106 @@ std::string sanitize_trace_label(const std::string& label) {
   return out;
 }
 
-std::string SweepReport::to_json() const {
+std::string report_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.4f", v);
+  return buf;
+}
+
+namespace grid_detail {
+
+std::unique_ptr<Ledger> open_outputs(const SweepOptions& opts) {
+  if (!opts.trace_dir.empty()) ::mkdir(opts.trace_dir.c_str(), 0777);  // EEXIST is fine
+  if (opts.ledger.empty()) return nullptr;
+  return std::make_unique<Ledger>(opts.ledger);
+}
+
+}  // namespace grid_detail
+
+std::string GridTotals::json_frame(std::size_t num_cells,
+                                   const std::vector<std::string>& entries) const {
   std::string out = "{\n  \"context\": {\n";
   out += "    \"jobs\": " + std::to_string(jobs) + ",\n";
-  out += "    \"num_cells\": " + std::to_string(cells.size()) + ",\n";
-  out += "    \"wall_ms\": " + fmt_double(wall_ms) + ",\n";
-  out += "    \"cpu_ms\": " + fmt_double(cpu_ms) + ",\n";
-  out += "    \"speedup\": " + fmt_double(speedup()) + "\n";
+  out += "    \"num_cells\": " + std::to_string(num_cells) + ",\n";
+  out += "    \"wall_ms\": " + report_number(wall_ms) + ",\n";
+  out += "    \"cpu_ms\": " + report_number(cpu_ms) + ",\n";
+  out += "    \"speedup\": " + report_number(speedup()) + "\n";
   out += "  },\n";
   // Deterministic subset only: this line must be bit-identical at any
   // TPI_BENCH_JOBS / TPI_ATPG_JOBS (the sweep tests diff it verbatim).
   out += "  \"metrics\": " + metrics.to_json(MetricsSnapshot::kNoRuntime) + ",\n";
   out += "  \"benchmarks\": [\n";
-  bool first = true;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    out += (i == 0 ? "    " : ",\n    ") + entries[i];
+  }
+  out += "\n  ]\n}\n";
+  return out;
+}
+
+std::string SweepReport::to_json() const {
+  std::vector<std::string> entries;
   for (const SweepCellResult& cell : cells) {
-    if (!first) out += ",\n";
-    first = false;
     const FlowResult& r = cell.result;
-    out += "    {\"name\": \"" + json_escape(cell.job.label) + "\", ";
+    std::string out = "{\"name\": \"" + json_escape(cell.job.label) + "\", ";
     out += "\"run_type\": \"iteration\", \"iterations\": 1, ";
-    out += "\"real_time\": " + fmt_double(cell.wall_ms) + ", ";
+    out += "\"real_time\": " + report_number(cell.wall_ms) + ", ";
     out += "\"time_unit\": \"ms\", ";
-    out += "\"tp_percent\": " + fmt_double(cell.job.options.tp_percent) + ", ";
+    out += "\"tp_percent\": " + report_number(cell.job.options.tp_percent) + ", ";
     out += "\"num_test_points\": " + std::to_string(r.num_test_points) + ", ";
     out += "\"num_cells\": " + std::to_string(r.num_cells) + ", ";
     out += "\"saf_patterns\": " + std::to_string(r.saf_patterns) + ", ";
-    out += "\"chip_area_um2\": " + fmt_double(r.chip_area_um2) + ", ";
-    out += "\"wire_length_um\": " + fmt_double(r.wire_length_um) + ", ";
-    out += "\"t_cp_ps\": " + fmt_double(r.sta.worst.valid ? r.sta.worst.t_cp_ps : 0.0) + ", ";
+    out += "\"chip_area_um2\": " + report_number(r.chip_area_um2) + ", ";
+    out += "\"wire_length_um\": " + report_number(r.wire_length_um) + ", ";
+    out += "\"t_cp_ps\": " + report_number(r.sta.worst.valid ? r.sta.worst.t_cp_ps : 0.0) + ", ";
     // Conditional keys: stuck-at cells keep the seed's exact layout.
     if (r.atpg.fault_model == FaultModel::kTransition) {
       out += "\"fault_model\": \"transition\", ";
     }
     if (r.at_speed.ran) {
       out += "\"at_speed\": {";
-      out += "\"capture_period_ps\": " + fmt_double(r.at_speed.capture_period_ps) + ", ";
-      out += "\"at_speed_coverage_pct\": " + fmt_double(r.at_speed.at_speed_coverage_pct) + ", ";
+      out += "\"capture_period_ps\": " + report_number(r.at_speed.capture_period_ps) + ", ";
+      out += "\"at_speed_coverage_pct\": " +
+             report_number(r.at_speed.at_speed_coverage_pct) + ", ";
       out += "\"slow_speed_coverage_pct\": " +
-             fmt_double(r.at_speed.slow_speed_coverage_pct) + ", ";
-      out += "\"coverage_delta_pct\": " + fmt_double(r.at_speed.coverage_delta_pct()) + ", ";
+             report_number(r.at_speed.slow_speed_coverage_pct) + ", ";
+      out += "\"coverage_delta_pct\": " + report_number(r.at_speed.coverage_delta_pct()) +
+             ", ";
       out += "\"qualified_faults\": " + std::to_string(r.at_speed.qualified_faults) + "}, ";
     }
     out += "\"atpg_kernel\": " + atpg_profile_json(r.atpg.profile) + ", ";
     out += "\"stages\": " + stages_json(r.timings) + "}";
+    entries.push_back(std::move(out));
   }
   for (const Stage s : kAllStages) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\"name\": \"stage_totals/";
-    out += stage_name(s);
-    out += "\", \"run_type\": \"aggregate\", \"aggregate_name\": \"total\", ";
-    out += "\"real_time\": " + fmt_double(stage_total_ms[static_cast<std::size_t>(s)]) +
-           ", \"time_unit\": \"ms\"}";
+    entries.push_back(std::string("{\"name\": \"stage_totals/") + stage_name(s) +
+                      "\", \"run_type\": \"aggregate\", \"aggregate_name\": \"total\", " +
+                      "\"real_time\": " +
+                      report_number(stage_total_ms[static_cast<std::size_t>(s)]) +
+                      ", \"time_unit\": \"ms\"}");
   }
-  out += "\n  ]\n}\n";
-  return out;
+  return json_frame(cells.size(), entries);
 }
 
 bool SweepReport::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    log_warn() << "SweepReport: cannot write " << path;
-    return false;
-  }
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) log_warn() << "SweepReport: short write to " << path;
-  return ok;
+  return write_file(to_json(), path, "SweepReport");
 }
 
-SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
+GridRunner::GridRunner(SweepOptions opts) : opts_(std::move(opts)) {}
 
-SweepRunner::SweepRunner(const FlowConfig& config) {
+GridRunner::GridRunner(const FlowConfig& config) {
   opts_.jobs = config.effective_bench_jobs();
   opts_.trace_dir = config.trace_dir;
   opts_.ledger = config.ledger;
+}
+
+int GridRunner::effective_jobs() const {
+  return opts_.jobs > 0 ? opts_.jobs : static_cast<int>(ThreadPool::default_concurrency());
 }
 
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
                                         const std::vector<double>& tp_percents,
                                         const FlowConfig& config) {
   return grid(circuits, tp_percents, config.options, config.stages);
-}
-
-int SweepRunner::effective_jobs() const {
-  return opts_.jobs > 0 ? opts_.jobs : static_cast<int>(ThreadPool::default_concurrency());
 }
 
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
@@ -208,78 +202,30 @@ std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circu
 SweepReport SweepRunner::run(const CellLibrary& lib, std::vector<SweepJob> jobs) const {
   SweepReport report;
   report.jobs = effective_jobs();
-  report.cells.reserve(jobs.size());
-
-  struct CellOut {
-    FlowResult result;
-    double wall_ms;
-  };
-
-  const bool progress = opts_.progress;
   FlowObserver* observer = opts_.observer;
-  const std::string& trace_dir = opts_.trace_dir;
-  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
-  std::unique_ptr<Ledger> ledger;
-  if (!opts_.ledger.empty()) ledger = std::make_unique<Ledger>(opts_.ledger);
-
-  const auto sweep_t0 = Clock::now();
-  std::vector<std::future<CellOut>> futures;
-  futures.reserve(jobs.size());
-  {
-    ThreadPool pool(static_cast<unsigned>(report.jobs));
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const SweepJob& job = jobs[i];
-      futures.push_back(pool.submit([&lib, &job, &trace_dir, i, progress, observer] {
-        if (progress) std::fprintf(stderr, "[sweep] %s...\n", job.label.c_str());
-        // Per-cell flight recorder: this worker's spans go to the cell's
-        // own sink, so concurrent cells never share a trace file.
-        std::unique_ptr<TraceSink> sink;
-        if (!trace_dir.empty()) {
-          sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1),
-                                             job.label);
-        }
-        const auto t0 = Clock::now();
+  ThreadPool pool(static_cast<unsigned>(report.jobs));
+  run_grid(
+      pool, opts_, "sweep", std::move(jobs),
+      [&lib, observer](const SweepJob& job) {
         FlowEngine engine(lib, job.profile, job.options);
         engine.set_job_label(job.label);
         engine.set_observer(observer);
-        {
-          std::optional<ScopedTraceSink> scope;
-          if (sink != nullptr) scope.emplace(*sink);
-          engine.run(job.stages);
-        }
-        if (sink != nullptr) {
-          sink->write_json(trace_dir + "/" + sanitize_trace_label(job.label) +
-                           ".trace.json");
-        }
-        return CellOut{engine.result(), ms_since(t0)};
-      }));
-    }
-    // Collect in submission order so the report layout matches the grid
-    // regardless of scheduling; future::get() rethrows task exceptions.
-    // Ledger lines are appended here too, so their order is deterministic.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      CellOut out = futures[i].get();
-      if (ledger != nullptr) {
-        FlowConfig cell_cfg;
-        cell_cfg.profile = jobs[i].profile.name;
-        cell_cfg.options = jobs[i].options;
-        cell_cfg.stages = jobs[i].stages;
-        const JsonParseResult cfg_json = json_parse(cell_cfg.to_json());
-        ledger->append(jobs[i].label,
-                       cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
-                       flow_result_to_json_value(out.result));
-      }
-      report.cells.push_back(
-          {std::move(jobs[i]), std::move(out.result), out.wall_ms});
-    }
-  }
-  report.wall_ms = ms_since(sweep_t0);
+        engine.run(job.stages);
+        return engine.result();
+      },
+      [](const SweepJob& job, const FlowResult& result) {
+        CellLedgerLine line;
+        line.config.profile = job.profile.name;
+        line.config.options = job.options;
+        line.config.stages = job.stages;
+        line.result = flow_result_to_json_value(result);
+        return line;
+      },
+      report);
   for (const SweepCellResult& cell : report.cells) {
-    report.cpu_ms += cell.wall_ms;
     for (const Stage s : kAllStages) {
       report.stage_total_ms[static_cast<std::size_t>(s)] += cell.result.timings[s];
     }
-    report.metrics.merge(cell.result.metrics);
   }
   return report;
 }

@@ -85,7 +85,7 @@ std::shared_ptr<FlowServer::Job> FlowServer::find_job(std::uint64_t id) {
   return it == jobs_.end() ? nullptr : it->second;
 }
 
-void FlowServer::run_job(const std::shared_ptr<Job>& job) {
+void FlowServer::run_job(const std::shared_ptr<Job>& job, ThreadPool& pool) {
   const std::uint64_t wait_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - job->submitted)
           .count());
@@ -117,16 +117,16 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job) {
   bool cancelled = false;
   try {
     if (job->config.soc.cores > 0) {
-      // SOC job: per-core flows on a private pool (this thread is itself a
-      // pool worker and the pool has no work stealing, so nesting core
-      // tasks onto pool_ could deadlock); the daemon's design cache is
-      // shared, so repeated chips hit warm cores.
+      // SOC job: per-core flows fork-join onto the pool this job runs on
+      // (this worker runs every core nobody else claims, so nesting cannot
+      // deadlock); the daemon's design cache is shared, so repeated chips
+      // hit warm cores.
       SocRunner runner(job->config);
       SocResult res;
       {
         std::optional<ScopedTraceSink> scope;
         if (sink != nullptr) scope.emplace(*sink);
-        res = runner.run(*lib_, nullptr, cache_.get(), &job->cancel);
+        res = runner.run(pool, *cache_, &job->cancel);
       }
       cancelled = res.cancelled;
       flow_json = soc_result_to_json(res);
@@ -279,7 +279,11 @@ std::string FlowServer::handle_request(const std::string& line) {
       ++jobs_submitted_;
     }
     try {
-      pool_->submit_prioritized(job->config.priority, [this, job] { run_job(job); });
+      // The task holds the pool itself: stop() nulls pool_ before the
+      // destructor drains queued jobs, and SOC jobs still fork onto it.
+      ThreadPool* pool = pool_.get();
+      pool->submit_prioritized(job->config.priority,
+                               [this, job, pool] { run_job(job, *pool); });
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(mu_);
       job->state = JobState::kFailed;

@@ -13,7 +13,9 @@
 // environment. Jobs are scheduled on the shared ThreadPool with the
 // config's `priority` (higher first, FIFO within a level) and run with
 // cooperative cancellation: the cancel RPC flips the job's token, which
-// FlowEngine re-checks at every stage boundary.
+// FlowEngine re-checks at every stage boundary. A SOC job fork-joins its
+// per-core flows onto the same pool (ThreadPool::fork_join) instead of
+// starting a pool of its own.
 //
 // Each job runs against a private copy of a DesignCache entry's golden
 // netlist with the entry's warm views adopted, so repeat requests for one
@@ -73,11 +75,13 @@ struct FlowServerOptions {
   int workers = 0;    ///< flow worker threads (<= 0: hardware concurrency)
   int cache_mb = 256; ///< DesignCache budget
   std::string socket_path = "tpi_server.sock";
-  /// Admission control: a submit arriving while this many jobs already
-  /// wait in the pool queue (not yet running) is rejected with a
-  /// structured "queue_full" error carrying the current depth, instead of
-  /// queueing unboundedly. 0 = unlimited (the seed behavior). From
-  /// FlowConfig::server_queue_limit / TPI_SERVER_QUEUE_LIMIT.
+  /// Admission control: a submit arriving while this many tasks already
+  /// wait in the pool queue unclaimed (ThreadPool::pending()) is rejected
+  /// with a structured "queue_full" error carrying the current depth,
+  /// instead of queueing unboundedly. A running SOC job's cores are pool
+  /// tasks too, so its not-yet-started cores count toward the limit. 0 =
+  /// unlimited (the seed behavior). From FlowConfig::server_queue_limit /
+  /// TPI_SERVER_QUEUE_LIMIT.
   int max_queue_depth = 0;
   /// Test hook: called on the worker thread right after a job leaves the
   /// queue (state already kRunning), before any flow work. May block —
@@ -132,7 +136,7 @@ class FlowServer {
     std::string error;       ///< set when state == kFailed
   };
 
-  void run_job(const std::shared_ptr<Job>& job);
+  void run_job(const std::shared_ptr<Job>& job, ThreadPool& pool);
   std::shared_ptr<Job> find_job(std::uint64_t id);
   void accept_loop();
   void serve_connection(int fd);

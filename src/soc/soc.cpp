@@ -1,7 +1,6 @@
 #include "soc/soc.hpp"
 
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <utility>
 
@@ -9,9 +8,6 @@
 
 namespace tpi {
 namespace {
-
-/// Budget of the private per-run cache (matches the server default).
-constexpr std::size_t kPrivateCacheBytes = std::size_t{256} << 20;
 
 /// Core size ladder: every third repetition of the profile set shrinks, so
 /// a big chip mixes large and small cores — the shape rectangle packing
@@ -47,7 +43,6 @@ SocOptions soc_options_from(const FlowConfig& config) {
   opts.scale = config.scale;
   opts.flow = config.options;
   opts.stages = config.stages;
-  opts.jobs = config.effective_bench_jobs();
   return opts;
 }
 
@@ -55,7 +50,7 @@ SocRunner::SocRunner(SocOptions opts) : opts_(std::move(opts)) {}
 
 SocRunner::SocRunner(const FlowConfig& config) : opts_(soc_options_from(config)) {}
 
-SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* cache,
+SocResult SocRunner::run(ThreadPool& pool, DesignCache& cache,
                          const std::atomic<bool>* cancel) const {
   SocResult result;
   result.cores = opts_.cores;
@@ -64,43 +59,28 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
 
   const std::vector<SocCoreSpec> specs = soc_core_specs(opts_.cores, opts_.scale);
 
-  std::unique_ptr<DesignCache> own_cache;
-  if (cache == nullptr) {
-    own_cache = std::make_unique<DesignCache>(lib, kPrivateCacheBytes);
-    cache = own_cache.get();
-  }
-  std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr) {
-    own_pool = std::make_unique<ThreadPool>(
-        opts_.jobs > 0 ? static_cast<unsigned>(opts_.jobs) : 0);
-    pool = own_pool.get();
-  }
-
-  // Fan the per-core flows out; collect strictly in core order so the
-  // merged result is independent of scheduling. future::get() rethrows a
-  // core's exception here.
-  std::vector<std::future<FlowResult>> futures;
-  futures.reserve(specs.size());
-  for (const SocCoreSpec& spec : specs) {
-    futures.push_back(pool->submit([&lib, &spec, cache, cancel, this] {
-      const std::shared_ptr<DesignCache::Entry> entry = cache->acquire(spec.profile);
-      Netlist nl = entry->netlist();  // private copy; the journal survives
-      FlowEngine engine(nl, spec.profile, opts_.flow);
-      engine.set_job_label(spec.label);
-      engine.design_db().adopt_views_from(entry->db());
-      engine.set_cancel_token(cancel);
-      engine.run(opts_.stages);
-      return engine.result();
-    }));
-  }
+  // Fan the per-core flows out; fork_join hands results back in core
+  // order, so the merge below is independent of scheduling. A core's
+  // exception propagates once every core has finished.
+  std::vector<FlowResult> flows = pool.fork_join(specs.size(), [&](std::size_t i) {
+    const SocCoreSpec& spec = specs[i];
+    const std::shared_ptr<DesignCache::Entry> entry = cache.acquire(spec.profile);
+    Netlist nl = entry->netlist();  // private copy; the journal survives
+    FlowEngine engine(nl, spec.profile, opts_.flow);
+    engine.set_job_label(spec.label);
+    engine.design_db().adopt_views_from(entry->db());
+    engine.set_cancel_token(cancel);
+    engine.run(opts_.stages);
+    return engine.result();
+  });
 
   std::vector<std::vector<WrapperDesign>> candidates;
   candidates.reserve(specs.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
     SocCoreResult core;
     core.label = specs[i].label;
     core.profile_name = specs[i].profile.name;
-    core.flow = futures[i].get();
+    core.flow = std::move(flows[i]);
     core.envelope = core_envelope(core.label, specs[i].profile, core.flow);
     result.cancelled = result.cancelled || core.flow.cancelled;
     result.metrics.merge(core.flow.metrics);

@@ -10,11 +10,11 @@
 // soc_result_to_json() is byte-identical at any TPI_BENCH_JOBS /
 // TPI_ATPG_JOBS and across SIMD backends.
 //
-// Concurrency: SocRunner::run fans the per-core flows onto a ThreadPool.
-// Pass an external pool only when the calling thread does NOT itself live
-// on that pool (the pool has no work stealing, so a worker blocking on
-// same-pool futures can deadlock); pass nullptr to use a private pool —
-// what the flow server does, since its jobs already run on pool workers.
+// Concurrency: SocRunner::run fans the per-core flows onto the caller's
+// ThreadPool with fork_join, so it may be called from a worker of that
+// same pool (a SOC sweep cell, a flow-server job): the joining worker
+// itself runs every core no other worker has claimed, so nesting cannot
+// deadlock.
 #pragma once
 
 #include <atomic>
@@ -53,12 +53,11 @@ struct SocOptions {
   double scale = 1.0;            ///< uniform core size factor (TPI_BENCH_SCALE)
   FlowOptions flow;              ///< per-core flow options (tp_percent, seeds, ...)
   StageMask stages = StageMask::all();
-  int jobs = 0;                  ///< concurrent core flows; <= 0 = hardware
 };
 
 /// SocOptions from a unified FlowConfig (soc knobs + options + stages +
-/// scale + effective_bench_jobs). config.soc.cores may be 0; callers gate
-/// SOC mode on that before running.
+/// scale). config.soc.cores may be 0; callers gate SOC mode on that
+/// before running.
 SocOptions soc_options_from(const FlowConfig& config);
 
 /// One core's slice of the chip result: envelope, chosen wrapper and
@@ -103,13 +102,11 @@ class SocRunner {
   /// Runner from a unified FlowConfig via soc_options_from().
   explicit SocRunner(const FlowConfig& config);
 
-  /// Run the chip: per-core flows on `pool` (nullptr = a private pool of
-  /// opts.jobs workers), designs checked out of `cache` (nullptr = a
-  /// private per-run cache), cancellation checked at every core's stage
-  /// boundaries via `cancel` (nullptr = never). Results merge in core
-  /// order regardless of scheduling.
-  SocResult run(const CellLibrary& lib, ThreadPool* pool = nullptr,
-                DesignCache* cache = nullptr,
+  /// Run the chip: per-core flows fork-joined on `pool` (the caller may
+  /// be one of its workers), designs checked out of `cache`, cancellation
+  /// checked at every core's stage boundaries via `cancel` (nullptr =
+  /// never). Results merge in core order regardless of scheduling.
+  SocResult run(ThreadPool& pool, DesignCache& cache,
                 const std::atomic<bool>* cancel = nullptr) const;
 
   const SocOptions& options() const { return opts_; }

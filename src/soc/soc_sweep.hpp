@@ -1,16 +1,14 @@
 // Sweep runner for SOC-scale grids: cores x TAM width x tp_percent, each
-// cell one full chip (SocRunner). The parallelism is inverted relative to
-// SweepRunner — cells run sequentially on the caller thread while each
-// cell's per-core flows fan out onto one shared ThreadPool (the pool has
-// no work stealing, so nesting cell tasks over core tasks on one pool
-// could deadlock). A shared DesignCache spans the grid: every cell
-// re-instantiates the same scaled paper profiles, so later cells hit warm
-// entries.
+// cell one full chip (SocRunner). Cells run in parallel through run_grid,
+// the cell runner SweepRunner uses, on one ThreadPool that also runs every
+// cell's per-core flows: a cell fork-joins its cores onto the pool it
+// runs on. A shared DesignCache spans the grid: every cell re-instantiates
+// the same scaled paper profiles, so later cells hit warm entries.
 //
 // Reporting mirrors SweepRunner: google-benchmark-style JSON with one
 // entry per chip, per-cell flight-recorder traces under
-// <trace_dir>/<sanitize_trace_label(label)>.trace.json, and one ledger
-// line per chip appended in grid order.
+// <trace_dir>/<sanitize_trace_label(label)>.trace.json (core spans
+// included), and one ledger line per chip appended in grid order.
 #pragma once
 
 #include <string>
@@ -26,21 +24,9 @@ struct SocSweepJob {
   SocOptions options;
 };
 
-struct SocSweepCellResult {
-  SocSweepJob job;
-  SocResult result;
-  double wall_ms = 0.0;
-};
+using SocSweepCellResult = GridCell<SocSweepJob, SocResult>;
 
-struct SocSweepReport {
-  std::vector<SocSweepCellResult> cells;  ///< in job submission order
-  int jobs = 1;                           ///< core-flow worker threads
-  double wall_ms = 0.0;
-  double cpu_ms = 0.0;
-  /// Per-cell SocResult metrics merged in grid order (deterministic subset
-  /// serialised, as in SweepReport).
-  MetricsSnapshot metrics;
-
+struct SocSweepReport : GridReport<SocSweepJob, SocResult> {
   /// google-benchmark-style JSON: one "benchmarks" entry per chip carrying
   /// cores / tam_width / tp_percent / chip_tat_cycles / serial_tat_cycles /
   /// tam_utilization_pct. Everything except the context block and
@@ -49,28 +35,21 @@ struct SocSweepReport {
   bool write_json(const std::string& path) const;
 };
 
-class SocSweepRunner {
+class SocSweepRunner : public GridRunner {
  public:
-  explicit SocSweepRunner(SweepOptions opts = {});
-  /// Runner sized from a unified FlowConfig (jobs, trace_dir, ledger).
-  explicit SocSweepRunner(const FlowConfig& config);
+  using GridRunner::GridRunner;
 
-  /// Run all cells (sequentially; per-core flows in parallel). A cell's
-  /// exception propagates after the shared pool drains.
+  /// Run all cells, cells and their cores on one pool of effective_jobs()
+  /// workers. A cell's exception propagates after every cell finished.
   SocSweepReport run(const CellLibrary& lib, std::vector<SocSweepJob> jobs) const;
 
   /// The SOC grid: every (cores, tam_width, tp_percent) triple in
   /// cores-major order with labels "soc=<n>/tam=<w>/tp=<pct>". Cells
-  /// inherit config.options / config.stages / config.scale.
+  /// inherit soc_options_from(config) apart from cores, TAM width and TP.
   static std::vector<SocSweepJob> grid(const std::vector<int>& cores,
                                        const std::vector<int>& tam_widths,
                                        const std::vector<double>& tp_percents,
                                        const FlowConfig& config);
-
-  int effective_jobs() const;
-
- private:
-  SweepOptions opts_;
 };
 
 }  // namespace tpi

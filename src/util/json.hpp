@@ -1,8 +1,9 @@
 // Minimal JSON document model: parse a byte string into a JsonValue tree
-// and serialise it back. Complements json_check.hpp (which only validates):
-// the FlowConfig loader and the flow server's JSON-RPC endpoint need to
-// *read* documents, not just vet them. Deliberately small — no comments, no
-// NaN/Inf, UTF-8 passed through verbatim, \uXXXX escapes decoded to UTF-8.
+// and serialise it back. The FlowConfig loader and the flow server's
+// JSON-RPC endpoint read documents with it, and the tests and smoke benches
+// vet every report they emit through json_parse(...).ok. Deliberately
+// small — no comments, no NaN/Inf, UTF-8 passed through verbatim, \uXXXX
+// escapes decoded to UTF-8.
 //
 // Object member order is preserved from the source text (and from
 // insertion when building documents programmatically), so serialisation is

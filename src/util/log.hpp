@@ -28,6 +28,9 @@ LogLevel set_log_level_from_env(LogLevel fallback = LogLevel::kWarn);
 /// Emit one line (with level tag and elapsed wall time) to stderr.
 void log_line(LogLevel level, const std::string& msg);
 
+/// Write `text` to `path`; on failure, warn naming `what` and return false.
+bool write_file(const std::string& text, const std::string& path, const char* what);
+
 namespace detail {
 
 class LogStream {

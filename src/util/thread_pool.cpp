@@ -1,8 +1,20 @@
 #include "util/thread_pool.hpp"
 
+#include <optional>
+
 #include "util/metrics.hpp"
 
 namespace tpi {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The pool whose worker this thread is (nullptr elsewhere), and the
+/// priority of the task it is running.
+thread_local const ThreadPool* t_pool = nullptr;
+thread_local int t_priority = 0;
+
+}  // namespace
 
 unsigned ThreadPool::default_concurrency() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -26,13 +38,38 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+bool ThreadPool::on_worker() const { return t_pool == this; }
+
+int ThreadPool::running_priority() { return t_priority; }
+
+void ThreadPool::push_locked(std::function<void()> fn, int priority,
+                             std::atomic<bool>* claim, TraceSink* sink) {
+  queue_.push(Task{std::move(fn), Clock::now(), priority, next_seq_++, claim, sink});
+  unclaimed_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool ThreadPool::try_claim(std::atomic<bool>* claim) {
+  if (claim != nullptr && claim->exchange(true, std::memory_order_acq_rel)) return false;
+  unclaimed_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
+}
+
+void ThreadPool::run_timed(const std::function<void()>& fn, Clock::time_point enqueued) {
+  const Clock::time_point start = Clock::now();
+  fn();  // packaged_task captures exceptions into the future
+  const Clock::time_point done = Clock::now();
+  // Scheduling is nondeterministic by nature, so these are rt.* metrics
+  // in the process-global registry (never in per-flow snapshots).
+  MetricsRegistry& g = MetricsRegistry::global();
+  g.observe("rt.threadpool.queue_wait_us",
+            std::chrono::duration<double, std::micro>(start - enqueued).count());
+  g.observe("rt.threadpool.run_ms",
+            std::chrono::duration<double, std::milli>(done - start).count());
+  g.add("rt.threadpool.tasks");
 }
 
 void ThreadPool::worker_loop() {
-  using Clock = std::chrono::steady_clock;
+  t_pool = this;
   for (;;) {
     Task task;
     {
@@ -44,17 +81,11 @@ void ThreadPool::worker_loop() {
       task = std::move(const_cast<Task&>(queue_.top()));
       queue_.pop();
     }
-    const Clock::time_point start = Clock::now();
-    task.fn();  // packaged_task captures exceptions into the future
-    const Clock::time_point done = Clock::now();
-    // Scheduling is nondeterministic by nature, so these are rt.* metrics
-    // in the process-global registry (never in per-flow snapshots).
-    MetricsRegistry& g = MetricsRegistry::global();
-    g.observe("rt.threadpool.queue_wait_us",
-              std::chrono::duration<double, std::micro>(start - task.enqueued).count());
-    g.observe("rt.threadpool.run_ms",
-              std::chrono::duration<double, std::milli>(done - start).count());
-    g.add("rt.threadpool.tasks");
+    if (!try_claim(task.claim)) continue;  // its forker ran it inline
+    t_priority = task.priority;
+    std::optional<ScopedTraceSink> scope;
+    if (task.sink != nullptr) scope.emplace(*task.sink);
+    run_timed(task.fn, task.enqueued);
   }
 }
 

@@ -21,7 +21,8 @@
 // for two traced jobs interleaving in one TPI_TRACE file. An active sink
 // also enables tracing on its own (refcounted into the same flag the
 // global switch uses), so per-job recording needs no process-wide enable.
-// Spans emitted by inner worker pools (fault-sim bank threads) have no
+// Tasks forked with ThreadPool::fork_join inherit the forking thread's
+// sink; spans from other pools' workers (fault-sim bank threads) have no
 // sink scope and keep landing in the global log.
 //
 // Span names must outlive the export (string literals in practice): the
@@ -131,6 +132,9 @@ class TraceSink {
   mutable std::mutex mu_;
   std::vector<Event> events_;
 };
+
+/// The innermost sink scoped on the calling thread, or nullptr.
+TraceSink* current_trace_sink();
 
 /// Redirect span recording on the current thread into `sink` for the
 /// lifetime of the scope (nestable; the innermost sink wins). Also

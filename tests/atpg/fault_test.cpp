@@ -104,7 +104,9 @@ TEST(FaultListTest, ScanInfrastructureClassified) {
   EXPECT_GT(scan, 0);
   // Clock-net faults are scan-classified.
   for (const Fault& f : fl.faults) {
-    if (nl->is_clock_net(f.net)) EXPECT_EQ(f.status, FaultStatus::kScanTested);
+    if (nl->is_clock_net(f.net)) {
+      EXPECT_EQ(f.status, FaultStatus::kScanTested);
+    }
   }
 }
 

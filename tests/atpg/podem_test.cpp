@@ -120,7 +120,9 @@ TEST(PodemTest, SolvesWideDecodeStructures) {
     const PodemResult r = podem.generate(f);
     EXPECT_EQ(r.outcome, PodemOutcome::kTest) << nl.net(f.net).name << " sa" << f.stuck1;
     tests += r.outcome == PodemOutcome::kTest;
-    if (r.outcome == PodemOutcome::kTest) EXPECT_TRUE(cube_detects(model, f, r.cube));
+    if (r.outcome == PodemOutcome::kTest) {
+      EXPECT_TRUE(cube_detects(model, f, r.cube));
+    }
   }
   EXPECT_GT(tests, 20);
 }

@@ -1,5 +1,5 @@
 // FlowEngine stage-model tests: observer callbacks, stage masks, per-stage
-// timings, and equivalence with the legacy run_flow_on() wrapper.
+// timings, and the reorder_atpg mask keeping scan stitching intact.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -56,21 +56,9 @@ TEST(StageMaskTest, StageNamesRoundTrip) {
   EXPECT_FALSE(stage_from_name("no_such_stage").has_value());
 }
 
-TEST(StageMaskTest, LegacyBooleansMapOntoMask) {
-  FlowOptions opts;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all());
-  opts.run_atpg = false;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all().without(Stage::kReorderAtpg));
-  opts.run_sta = false;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all()
-                                       .without(Stage::kReorderAtpg)
-                                       .without(Stage::kExtract)
-                                       .without(Stage::kSta));
-  opts.run_atpg = true;
-  opts.run_sta = true;
-  opts.verify = true;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all().with(Stage::kVerify));
-  EXPECT_FALSE(StageMask::all().has(Stage::kVerify));  // verify is opt-in
+TEST(StageMaskTest, VerifyIsOptIn) {
+  EXPECT_FALSE(StageMask::all().has(Stage::kVerify));
+  EXPECT_TRUE(StageMask::all().with(Stage::kVerify).has(Stage::kVerify));
 }
 
 TEST(FlowEngineTest, ObserverSeesAllSixStagesInOrder) {
@@ -190,7 +178,7 @@ TEST(FlowEngineTest, VerifyStageConfirmsFlowAndReplay) {
   opts.tp_percent = 5.0;
   opts.verify = true;
   FlowEngine engine(lib(), test::tiny_profile(30), opts);
-  const FlowResult& r = engine.run(stage_mask_from(opts));
+  const FlowResult& r = engine.run(StageMask::all().with(Stage::kVerify));
   EXPECT_TRUE(engine.stage_ran(Stage::kVerify));
   ASSERT_TRUE(r.verify.ran);
   EXPECT_TRUE(r.verify.ok()) << r.verify.error;
@@ -223,44 +211,18 @@ TEST(FlowEngineTest, VerifyStageRequiresSnapshot) {
   EXPECT_FALSE(engine.result().verify.ran);
 }
 
-// The legacy wrappers and the staged engine must produce bit-identical
-// results for the same profile and options (the wrapper IS the engine, but
-// this pins the compat mapping of run_atpg/run_sta onto StageMask).
-TEST(FlowEngineTest, WrapperMatchesEngineBitExactly) {
-  for (const bool with_atpg : {false, true}) {
-    FlowOptions opts;
-    opts.tp_percent = 10.0;
-    opts.run_atpg = with_atpg;
-    const FlowResult a = run_flow(lib(), test::tiny_profile(26), opts);
-
-    FlowEngine engine(lib(), test::tiny_profile(26), opts);
-    const FlowResult& b = engine.run(stage_mask_from(opts));
-
-    EXPECT_EQ(a.num_test_points, b.num_test_points);
-    EXPECT_EQ(a.num_ffs, b.num_ffs);
-    EXPECT_EQ(a.num_chains, b.num_chains);
-    EXPECT_EQ(a.saf_patterns, b.saf_patterns);
-    EXPECT_EQ(a.num_cells, b.num_cells);
-    EXPECT_DOUBLE_EQ(a.scan_wire_length_um, b.scan_wire_length_um);
-    EXPECT_DOUBLE_EQ(a.wire_length_um, b.wire_length_um);
-    EXPECT_DOUBLE_EQ(a.chip_area_um2, b.chip_area_um2);
-    EXPECT_DOUBLE_EQ(a.sta.worst.t_cp_ps, b.sta.worst.t_cp_ps);
-  }
-}
-
-// Masking off reorder_atpg must reproduce the legacy run_atpg=false flow
-// exactly: chains still stitched (they shape routing), ATPG skipped.
+// Masking off reorder_atpg skips ATPG but must leave the layout exactly as
+// the full flow builds it: chains are still stitched (they shape routing).
 TEST(FlowEngineTest, MaskedAtpgKeepsScanStitchingIdentical) {
-  FlowOptions legacy;
-  legacy.tp_percent = 5.0;
-  legacy.run_atpg = false;
-  const FlowResult a = run_flow(lib(), test::tiny_profile(27), legacy);
-
   FlowOptions opts;
   opts.tp_percent = 5.0;
+  FlowEngine full(lib(), test::tiny_profile(27), opts);
+  const FlowResult& a = full.run(StageMask::all());
+
   FlowEngine engine(lib(), test::tiny_profile(27), opts);
   const FlowResult& b = engine.run(StageMask::all().without(Stage::kReorderAtpg));
 
+  EXPECT_GT(a.saf_patterns, 0);
   EXPECT_EQ(b.saf_patterns, 0);
   EXPECT_GT(b.num_chains, 0);
   EXPECT_EQ(a.num_chains, b.num_chains);

@@ -11,7 +11,7 @@
 
 #include "../common/test_circuits.hpp"
 #include "flow/sweep.hpp"
-#include "util/json_check.hpp"
+#include "util/json.hpp"
 #include "util/ledger.hpp"
 #include "util/metrics.hpp"
 
@@ -168,8 +168,8 @@ TEST(SweepRunnerTest, TraceDirAndLedgerRecordEveryCell) {
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) contents.append(buf, n);
     std::fclose(f);
     std::remove(path.c_str());
-    std::string error;
-    EXPECT_TRUE(json_well_formed(contents, &error)) << path << ": " << error;
+    const JsonParseResult parsed = json_parse(contents);
+    EXPECT_TRUE(parsed.ok) << path << ": " << parsed.error;
     EXPECT_NE(contents.find("tpi_scan"), std::string::npos) << path;
     EXPECT_NE(contents.find(job.label), std::string::npos) << path;  // process row
   }

@@ -1,7 +1,9 @@
 // SOC composer end-to-end: chip composition, bit-identical results at any
-// core-flow job count and SIMD backend, the SOC sweep grid, and an 8-core
-// chip job through the flow server with its ledger line.
+// pool size and SIMD backend, the SOC sweep grid, and an 8-core chip job
+// through the flow server with its ledger line.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -33,6 +35,13 @@ SocOptions tiny_soc(int cores, int tam_width) {
   return opts;
 }
 
+/// One chip on a fresh `jobs`-worker pool and cache, from outside the pool.
+SocResult run_chip(const SocOptions& opts, unsigned jobs) {
+  ThreadPool pool(jobs);
+  DesignCache cache(lib(), std::size_t{64} << 20);
+  return SocRunner(opts).run(pool, cache);
+}
+
 TEST(SocCoreSpecsTest, CyclesProfilesDownTheSizeLadder) {
   const auto specs = soc_core_specs(10, 1.0);
   ASSERT_EQ(specs.size(), 10u);
@@ -54,31 +63,36 @@ TEST(SocCoreSpecsTest, CyclesProfilesDownTheSizeLadder) {
 
 // Acceptance criterion: the chip-level result (including the scheduled
 // TAT) is byte-identical whether the core flows ran serially or on four
-// workers, and across every SIMD backend compiled into this build.
+// workers, when the chip itself runs as a task on the pool it forks its
+// cores onto, and across every SIMD backend compiled into this build.
 TEST(SocRunnerTest, ResultBitIdenticalAcrossJobCountsAndBackends) {
-  SocOptions opts = tiny_soc(4, 16);
-  opts.jobs = 1;
-  const std::string reference = soc_result_to_json(SocRunner(opts).run(lib()));
+  const SocOptions opts = tiny_soc(4, 16);
+  const std::string reference = soc_result_to_json(run_chip(opts, 1));
   EXPECT_NE(reference.find("\"chip_tat_cycles\""), std::string::npos);
   EXPECT_NE(reference.find("\"soc.chip_tat_cycles\""), std::string::npos);
 
-  opts.jobs = 4;
-  EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference);
+  EXPECT_EQ(soc_result_to_json(run_chip(opts, 4)), reference);
+
+  for (const unsigned workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    DesignCache cache(lib(), std::size_t{64} << 20);
+    const SocResult nested =
+        pool.submit([&] { return SocRunner(opts).run(pool, cache); }).get();
+    EXPECT_EQ(soc_result_to_json(nested), reference) << workers << " workers, nested";
+  }
 
   for (const SimdBackend b :
        {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512}) {
     if (!simd_backend_available(b)) continue;
     set_simd_backend(b);
-    EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference)
-        << simd_backend_name(b);
+    EXPECT_EQ(soc_result_to_json(run_chip(opts, 4)), reference) << simd_backend_name(b);
   }
   set_simd_backend(std::nullopt);
 }
 
 TEST(SocRunnerTest, ScheduleBeatsSerialAndCoversEveryCore) {
-  SocOptions opts = tiny_soc(5, 8);
-  opts.jobs = 2;
-  const SocResult res = SocRunner(opts).run(lib());
+  const SocOptions opts = tiny_soc(5, 8);
+  const SocResult res = run_chip(opts, 2);
   ASSERT_EQ(res.per_core.size(), 5u);
   EXPECT_GT(res.chip_tat_cycles, 0);
   EXPECT_LE(res.chip_tat_cycles, res.serial_tat_cycles);
@@ -115,9 +129,11 @@ TEST(SocSweepTest, GridEnumeratesCoresMajorWithLabels) {
 
 // The SOC sweep analogue of the single-core bit-identity sweep test: the
 // per-cell deterministic payloads (and the ledger lines they feed) agree
-// byte-for-byte between a serial and a parallel run.
+// byte-for-byte between a serial and a parallel run, and the parallel run
+// writes one trace file per cell holding that cell's core spans.
 TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   const std::string ledger_path = ::testing::TempDir() + "tpi_soc_ledger.jsonl";
+  const std::string trace_dir = ::testing::TempDir() + "tpi_soc_traces";
   std::remove(ledger_path.c_str());
 
   FlowConfig cfg;
@@ -135,7 +151,33 @@ TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   parallel.jobs = 4;
   parallel.progress = false;
   parallel.ledger = ledger_path;
+  parallel.trace_dir = trace_dir;
   const SocSweepReport b = SocSweepRunner(parallel).run(lib(), jobs);
+
+  for (const SocSweepJob& job : jobs) {
+    // "soc=2/tam=8/tp=0" -> "soc=2_2ftam=8_2ftp=0.trace.json".
+    const std::string path =
+        trace_dir + "/" + sanitize_trace_label(job.label) + ".trace.json";
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << path;
+    std::string contents;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) contents.append(buf, n);
+    std::fclose(f);
+    std::remove(path.c_str());
+    const JsonParseResult parsed = json_parse(contents);
+    EXPECT_TRUE(parsed.ok) << path << ": " << parsed.error;
+    EXPECT_NE(contents.find(job.label), std::string::npos) << path;  // process row
+    // Every core's stages land in the cell's trace, whichever worker ran it.
+    std::size_t tpi_scan_spans = 0;
+    for (std::size_t at = contents.find("\"tpi_scan\""); at != std::string::npos;
+         at = contents.find("\"tpi_scan\"", at + 1)) {
+      ++tpi_scan_spans;
+    }
+    EXPECT_EQ(tpi_scan_spans, static_cast<std::size_t>(job.options.cores)) << path;
+  }
+  ::rmdir(trace_dir.c_str());
 
   ASSERT_EQ(a.cells.size(), jobs.size());
   ASSERT_EQ(b.cells.size(), jobs.size());
@@ -164,19 +206,16 @@ TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   std::remove(ledger_path.c_str());
 }
 
-// Acceptance criterion: an 8-core SOC job completes end-to-end through the
-// flow server, with the chip payload in the result RPC and in the ledger.
-TEST(SocServerTest, EightCoreJobThroughFlowServerWithLedger) {
+void run_eight_core_server_job(int workers) {
   const std::string ledger_path = ::testing::TempDir() + "tpi_soc_server_ledger.jsonl";
   std::remove(ledger_path.c_str());
 
   FlowConfig base;
   base.scale = 0.02;
   base.options.atpg.jobs = 1;
-  base.bench_jobs = 2;
   base.ledger = ledger_path;
   FlowServerOptions opts;
-  opts.workers = 2;
+  opts.workers = workers;
   FlowServer server(base, opts);
 
   const std::string submit_req =
@@ -219,6 +258,17 @@ TEST(SocServerTest, EightCoreJobThroughFlowServerWithLedger) {
   EXPECT_NE(entries[0].flow.find("chip_tat_cycles"), nullptr);
   EXPECT_NE(entries[0].config.find("soc"), nullptr);
   std::remove(ledger_path.c_str());
+}
+
+// Acceptance criterion: an 8-core SOC job completes end-to-end through the
+// flow server, with the chip payload in the result RPC and in the ledger —
+// also on a one-worker server, whose only worker must run all 8 cores of
+// the job it is running itself.
+TEST(SocServerTest, EightCoreJobThroughFlowServerWithLedger) {
+  for (const int workers : {2, 1}) {
+    SCOPED_TRACE(std::to_string(workers) + " server workers");
+    run_eight_core_server_job(workers);
+  }
 }
 
 // The "profile" key is ignored for SOC jobs: a submission whose base

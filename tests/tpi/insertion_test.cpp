@@ -168,7 +168,9 @@ TEST(TpiInsertionTest, InsertionImprovesTestability) {
       ++count;
     }
   }
-  if (count > 0) EXPECT_GT(sum_after, sum_before);
+  if (count > 0) {
+    EXPECT_GT(sum_after, sum_before);
+  }
 }
 
 }  // namespace

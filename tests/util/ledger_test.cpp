@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/json_check.hpp"
 #include "util/ledger.hpp"
 
 namespace tpi {
@@ -109,8 +108,8 @@ TEST(LedgerTest, EveryLineIsSelfContainedJson) {
     const std::size_t end = raw.find('\n', start);
     ASSERT_NE(end, std::string::npos);
     const std::string line = raw.substr(start, end - start);
-    std::string error;
-    EXPECT_TRUE(json_well_formed(line, &error)) << error;
+    const JsonParseResult parsed = json_parse(line);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
     EXPECT_NE(line.find("\"schema\":1"), std::string::npos);
     ++lines;
     start = end + 1;

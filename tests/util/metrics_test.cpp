@@ -6,7 +6,7 @@
 #include <string>
 #include <thread>
 
-#include "util/json_check.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 
 namespace tpi {
@@ -138,9 +138,8 @@ TEST(MetricsTest, RuntimeMetricsExcludedFromDeterministicJson) {
   EXPECT_NE(all.find("rt.wait_us"), std::string::npos);
   EXPECT_EQ(det.find("rt.wait_us"), std::string::npos);
   EXPECT_NE(det.find("det.counter"), std::string::npos);
-  std::string error;
-  EXPECT_TRUE(json_well_formed(all, &error)) << error;
-  EXPECT_TRUE(json_well_formed(det, &error)) << error;
+  EXPECT_TRUE(json_parse(all).ok) << json_parse(all).error;
+  EXPECT_TRUE(json_parse(det).ok) << json_parse(det).error;
 }
 
 TEST(MetricsTest, ScopedRegistryRedirectsCurrentThreadOnly) {
@@ -211,8 +210,8 @@ TEST(MetricsTest, HistogramJsonCarriesSummaryFields) {
   reg.observe("h.lat", 2.0);
   reg.observe("h.lat", 50.0);
   const std::string json = reg.snapshot().to_json();
-  std::string error;
-  EXPECT_TRUE(json_well_formed(json, &error)) << error;
+  const JsonParseResult parsed = json_parse(json);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
   for (const char* field : {"\"mean\":", "\"p50\":", "\"p95\":", "\"p99\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }

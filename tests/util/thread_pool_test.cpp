@@ -4,11 +4,36 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
+
+/// Runs `body` on its own thread and fails the whole test binary if it has
+/// not returned within `limit`: a deadlocked pool must fail, not hang ctest.
+void run_with_watchdog(const std::function<void()>& body,
+                       std::chrono::seconds limit = std::chrono::seconds(60)) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&body, &done] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: no progress after %llds, deadlock\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  runner.join();
+}
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);
@@ -116,6 +141,112 @@ TEST(ThreadPoolTest, ExecutesConcurrentlyWithMultipleWorkers) {
   auto b = pool.submit(wait_for_peer);
   EXPECT_TRUE(a.get());
   EXPECT_TRUE(b.get());
+}
+
+// The join rule: a one-worker pool whose only worker runs a task that fans
+// out onto the same pool and joins. The worker must run its children
+// inline (in index order); blocking on them instead would deadlock.
+TEST(ThreadPoolTest, NestedForkJoinOnOneWorkerRunsChildrenInline) {
+  run_with_watchdog([] {
+    ThreadPool pool(1);
+    std::vector<std::size_t> order;
+    const std::vector<int> squares =
+        pool.submit([&pool, &order] {
+              return pool.fork_join(8, [&order](std::size_t i) {
+                order.push_back(i);
+                return static_cast<int>(i * i);
+              });
+            })
+            .get();
+    ASSERT_EQ(squares.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(order[i], i);
+      EXPECT_EQ(squares[i], static_cast<int>(i * i));
+    }
+  });
+}
+
+// Three levels of fan-out on two workers, entered from a non-pool thread:
+// every forker waits only on its own children, so the grid completes.
+TEST(ThreadPoolTest, ThreeLevelForkJoinOnTwoWorkersCompletes) {
+  run_with_watchdog([] {
+    ThreadPool pool(2);
+    const std::vector<int> cells = pool.fork_join(4, [&pool](std::size_t c) {
+      const std::vector<int> cores = pool.fork_join(4, [&pool, c](std::size_t k) {
+        const std::vector<int> leaves = pool.fork_join(
+            2, [c, k](std::size_t l) { return static_cast<int>(100 * c + 10 * k + l); });
+        return leaves[0] + leaves[1];
+      });
+      int sum = 0;
+      for (const int v : cores) sum += v;
+      return sum;
+    });
+    ASSERT_EQ(cells.size(), 4u);
+    for (std::size_t c = 0; c < 4; ++c) {
+      // sum over k<4, l<2 of 100c + 10k + l = 800c + 120 + 4.
+      EXPECT_EQ(cells[c], static_cast<int>(800 * c + 124)) << c;
+    }
+    EXPECT_EQ(pool.pending(), 0u);
+  });
+}
+
+// A throwing child does not cut the join short: the lowest-index exception
+// is rethrown, and only after every sibling has finished.
+TEST(ThreadPoolTest, ForkJoinRethrowsOnlyAfterEverySiblingFinished) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  int seen_at_throw = -1;
+  try {
+    pool.fork_join(8, [&finished](std::size_t i) {
+      if (i == 5) throw std::runtime_error("child 5");
+      if (i == 2) throw std::runtime_error("child 2");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return ++finished;
+    });
+    ADD_FAILURE() << "fork_join swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    seen_at_throw = finished.load();
+    EXPECT_EQ(std::string(e.what()), "child 2");
+  }
+  EXPECT_EQ(seen_at_throw, 6);
+  // The pool survives, and fork_join from a non-pool thread still works.
+  EXPECT_EQ(pool.fork_join(3, [](std::size_t i) { return i; }).back(), 2u);
+}
+
+// pending() counts only unclaimed tasks: children the forker already ran
+// inline no longer count, though their queue entries are still queued.
+TEST(ThreadPoolTest, PendingIgnoresChildrenClaimedInline) {
+  run_with_watchdog([] {
+    ThreadPool pool(1);
+    std::vector<std::size_t> pending_seen;
+    pool.submit([&pool, &pending_seen] {
+          pool.fork_join(4, [&pool, &pending_seen](std::size_t) {
+            pending_seen.push_back(pool.pending());
+            return 0;
+          });
+          pending_seen.push_back(pool.pending());
+        })
+        .get();
+    EXPECT_EQ(pending_seen, (std::vector<std::size_t>{3, 2, 1, 0, 0}));
+  });
+}
+
+// Children record their spans into the forking thread's sink, whichever
+// worker runs them, and nothing leaks into the global log.
+TEST(ThreadPoolTest, ForkJoinChildrenInheritTheCallersTraceSink) {
+  set_trace_enabled(false);
+  trace_reset();
+  TraceSink sink(3, "fork");
+  ThreadPool pool(2);
+  {
+    ScopedTraceSink scope(sink);
+    pool.fork_join(6, [](std::size_t i) {
+      TPI_SPAN("fork.child");
+      return i;
+    });
+  }
+  EXPECT_EQ(sink.event_count(), 6u);
+  EXPECT_EQ(trace_event_count(), 0u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "util/json_check.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -24,14 +24,16 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline on all three: once inlined, GCC sees malloc() paired with a
+// delete (or free() paired with a new) and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tpi {
 namespace {
@@ -128,8 +130,8 @@ TEST_F(TraceTest, JsonIsWellFormedChromeTraceFormat) {
   }
   set_trace_enabled(false);
   const std::string json = trace_to_json();
-  std::string error;
-  EXPECT_TRUE(json_well_formed(json, &error)) << error;
+  const JsonParseResult parsed = json_parse(json);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 1"), std::string::npos);
@@ -153,8 +155,8 @@ TEST_F(TraceTest, SinkCapturesSpansAndKeepsGlobalLogClean) {
   EXPECT_EQ(trace_event_count(), 0u);  // nothing leaked to the global log
   EXPECT_EQ(sink.event_count(), 2u);
   const std::string json = sink.to_json();
-  std::string error;
-  EXPECT_TRUE(json_well_formed(json, &error)) << error;
+  const JsonParseResult parsed = json_parse(json);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
   EXPECT_NE(json.find("\"pid\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("jobA"), std::string::npos);
@@ -257,8 +259,8 @@ TEST_F(TraceTest, SinkWriteJsonRoundTrips) {
     std::fclose(f);
   }
   std::remove(path.c_str());
-  std::string error;
-  EXPECT_TRUE(json_well_formed(contents, &error)) << error;  // label escaping
+  const JsonParseResult parsed = json_parse(contents);  // label escaping
+  EXPECT_TRUE(parsed.ok) << parsed.error;
   EXPECT_NE(contents.find("write.span"), std::string::npos);
 }
 
