@@ -110,7 +110,7 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     f.branch = sink >= 0 ? nl.net(net).sinks[static_cast<std::size_t>(sink)] : PinRef{};
     f.stuck1 = stuck1;
     f.model = fault_model;
-    f.equiv_count = equiv;
+    f.equiv_count = static_cast<std::uint16_t>(equiv);  // 1 + at most one sink
     if (scan_tested) f.status = FaultStatus::kScanTested;
     index.emplace(Key{net, sink, stuck1}, static_cast<int>(faults.size()));
     faults.push_back(f);
@@ -160,7 +160,10 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     if (src == nullptr || dst == nullptr || src == dst) return;
     if (src->equiv_count == 0) return;  // already folded
     if (src->status != dst->status) return;  // never merge scan with logic
-    dst->equiv_count += src->equiv_count;
+    // Equiv counts are 16-bit: a fold that would overflow keeps the two
+    // classes apart, which costs one extra target and keeps every count exact.
+    if (dst->equiv_count + src->equiv_count > Fault::kMaxEquivCount) return;
+    dst->equiv_count = static_cast<std::uint16_t>(dst->equiv_count + src->equiv_count);
     src->equiv_count = 0;
   };
 

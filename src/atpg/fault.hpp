@@ -56,14 +56,19 @@ struct Fault {
   PinRef branch;        ///< specific sink pin; invalid = stem (driver side)
   /// kStuckAt: true = stuck-at-1. kTransition: true = slow-to-fall (the
   /// capture-frame equivalent stuck value is the same bit either way).
-  bool stuck1 = false;
-  FaultModel model = FaultModel::kStuckAt;
+  bool stuck1 : 1 = false;
+  FaultModel model : 7 = FaultModel::kStuckAt;
   FaultStatus status = FaultStatus::kUndetected;
-  /// Number of uncollapsed faults this representative stands for (>= 1).
-  std::int32_t equiv_count = 1;
+  /// Number of uncollapsed faults this representative stands for (>= 1);
+  /// build_fault_list never folds a class past kMaxEquivCount.
+  std::uint16_t equiv_count = 1;
+
+  static constexpr int kMaxEquivCount = 0xFFFF;
 
   bool is_stem() const { return !branch.valid(); }
 };
+// Fault lists are the largest per-flow array a retained ATPG result keeps.
+static_assert(sizeof(Fault) == 16);
 
 struct FaultList {
   std::vector<Fault> faults;           ///< collapsed representatives

@@ -1,6 +1,7 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -11,6 +12,41 @@ Tern tern_of(bool b) { return b ? Tern::k1 : Tern::k0; }
 
 }  // namespace
 
+void NodeQueue::resize(std::size_t nodes) {
+  const std::size_t words = (nodes + 63) / 64;
+  bits_.assign(words, 0);
+  summary_.assign((words + 63) / 64, 0);
+  low_ = summary_.size();
+}
+
+void NodeQueue::push(int node) {
+  const auto i = static_cast<std::size_t>(node);
+  const std::size_t w = i / 64;
+  bits_[w] |= std::uint64_t{1} << (i % 64);
+  summary_[w / 64] |= std::uint64_t{1} << (w % 64);
+  low_ = std::min(low_, w / 64);
+}
+
+int NodeQueue::pop() {
+  while (low_ < summary_.size() && summary_[low_] == 0) ++low_;
+  if (low_ == summary_.size()) return -1;
+  const std::size_t w = low_ * 64 + static_cast<std::size_t>(std::countr_zero(summary_[low_]));
+  const int bit = std::countr_zero(bits_[w]);
+  bits_[w] &= bits_[w] - 1;
+  if (bits_[w] == 0) summary_[low_] &= summary_[low_] - 1;
+  return static_cast<int>(w * 64) + bit;
+}
+
+void NodeQueue::clear() {
+  for (std::size_t s = low_; s < summary_.size(); ++s) {
+    for (std::uint64_t m = summary_[s]; m != 0; m &= m - 1) {
+      bits_[s * 64 + static_cast<std::size_t>(std::countr_zero(m))] = 0;
+    }
+    summary_[s] = 0;
+  }
+  low_ = summary_.size();
+}
+
 Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOptions opts)
     : model_(model), scoap_(scoap), opts_(opts) {
   const std::size_t n = model.num_nets();
@@ -19,7 +55,7 @@ Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOption
   is_input_.assign(n, 0);
   input_index_.assign(n, 0);
   observed_.assign(n, 0);
-  queued_.assign(model.nodes().size(), 0);
+  queue_.resize(model.nodes().size());
   const auto& inputs = model.input_nets();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     is_input_[static_cast<std::size_t>(inputs[i])] = 1;
@@ -86,19 +122,10 @@ void Podem::eval_node(int node_index) {
   if (g != Tern::kX && f != Tern::kX && g != f) {
     for (const int reader : model_.readers_of(node.out)) d_frontier_.push_back(reader);
   }
-  for (const int reader : model_.readers_of(node.out)) {
-    const auto r = static_cast<std::size_t>(reader);
-    if (queued_[r] != epoch_) {
-      queued_[r] = epoch_;
-      heap_.push_back(reader);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    }
-  }
+  for (const int reader : model_.readers_of(node.out)) queue_.push(reader);
 }
 
 bool Podem::assign_and_imply(NetId net, Tern value) {
-  ++epoch_;
-  heap_.clear();
   const Tern stuck = tern_of(fault_->stuck1);
   const Tern f = (fault_->is_stem() && net == fault_->net) ? stuck : value;
   set_net(net, value, f);
@@ -107,20 +134,12 @@ bool Podem::assign_and_imply(NetId net, Tern value) {
     // The activated site carries a D: its readers join the D-frontier.
     for (const int reader : model_.readers_of(net)) d_frontier_.push_back(reader);
   }
-  for (const int reader : model_.readers_of(net)) {
-    const auto r = static_cast<std::size_t>(reader);
-    if (queued_[r] != epoch_) {
-      queued_[r] = epoch_;
-      heap_.push_back(reader);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  for (const int reader : model_.readers_of(net)) queue_.push(reader);
+  for (int ni; (ni = queue_.pop()) >= 0;) {
+    if (++implications_ > opts_.implication_limit) {
+      queue_.clear();  // the next call starts from an empty queue
+      return false;
     }
-  }
-  while (!heap_.empty()) {
-    if (++implications_ > opts_.implication_limit) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const int ni = heap_.back();
-    heap_.pop_back();
-    queued_[static_cast<std::size_t>(ni)] = epoch_ - 1;  // allow re-queue
     eval_node(ni);
   }
   return true;

@@ -24,6 +24,27 @@ struct PodemOptions {
   bool trace = false;  ///< stderr decision/backtrack trace (debugging)
 };
 
+/// PODEM's implication event queue: a set of node indices that always
+/// pops the smallest one. One bit per node plus one summary bit per
+/// non-empty 64-node word, scanned from a low-water cursor; pushing a
+/// queued node is a no-op. Popping the minimum keeps the evaluation order
+/// of a min-heap exactly, on cyclic views too (a push below the cursor
+/// lowers it), so trails, D-frontiers and cubes do not depend on it.
+class NodeQueue {
+ public:
+  /// Empty queue over node indices [0, nodes).
+  void resize(std::size_t nodes);
+  void push(int node);
+  /// Smallest queued node, removed from the set; -1 when empty.
+  int pop();
+  void clear();
+
+ private:
+  std::vector<std::uint64_t> bits_;     ///< bit i%64 of word i/64: node i queued
+  std::vector<std::uint64_t> summary_;  ///< bit w%64 of word w/64: bits_[w] != 0
+  std::size_t low_ = 0;                 ///< no summary word below it is non-zero
+};
+
 enum class PodemOutcome { kTest, kRedundant, kAborted };
 
 struct PodemResult {
@@ -83,9 +104,7 @@ class Podem {
   };
   std::vector<TrailEntry> trail_;
   std::vector<int> d_frontier_;  ///< candidate node indices (lazily filtered)
-  std::vector<int> heap_;
-  std::vector<std::uint32_t> queued_;
-  std::uint32_t epoch_ = 0;
+  NodeQueue queue_;  ///< implication events, popped in node order
   std::vector<char> is_input_;  ///< per net: controllable input
   std::vector<std::size_t> input_index_;  ///< net -> index into input_nets
   std::vector<char> observed_;

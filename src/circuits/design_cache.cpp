@@ -59,7 +59,14 @@ DesignCache::DesignCache(const CellLibrary& lib, std::size_t budget_bytes,
     : lib_(lib), budget_bytes_(budget_bytes), registry_(registry) {}
 
 std::shared_ptr<DesignCache::Entry> DesignCache::build(const CircuitProfile& profile) const {
-  auto entry = std::make_shared<Entry>(generate_circuit(lib_, profile));
+  // Keep an exact-capacity copy without the generator's edit journal:
+  // growth slack and journal records would otherwise stay resident for
+  // the entry's lifetime and be copied into every job's checkout. The copy
+  // keeps the edit version, and jobs only ask the journal about their own
+  // edits, which come later.
+  auto golden = std::make_unique<Netlist>(*generate_circuit(lib_, profile));
+  golden->drop_edit_journal();
+  auto entry = std::make_shared<Entry>(std::move(golden));
   // Warm exactly what the flow's first stage asks for: capture-view
   // testability, which forces the capture TopoOrder and CombModel. The
   // golden netlist has no TSFFs yet, so the topo slot also serves the

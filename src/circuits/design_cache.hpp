@@ -13,11 +13,13 @@
 // name, and holds the pristine generated netlist ("golden") together with
 // a DesignDB whose capture-view slots were warmed once at build time.
 //
-// A job checks out a *copy* of the golden netlist (Netlist copies preserve
-// the edit journal), constructs its FlowEngine over the copy, and adopts
-// the warm views via DesignDB::adopt_views_from — so repeat requests skip
-// regeneration and the first topo/comb/testability rebuild while every job
-// still edits a private netlist.
+// The golden netlist is an exact-capacity copy of the generated one with
+// the generator's edit journal dropped; it keeps the edit version. A job
+// checks out a *copy* of it, constructs its FlowEngine over the copy
+// (which journals the job's own edits), and adopts the warm views via
+// DesignDB::adopt_views_from — so repeat requests skip regeneration and
+// the first topo/comb/testability rebuild while every job still edits a
+// private netlist.
 //
 // Concurrency: one mutex over the map; a miss releases the lock for the
 // build and registers the key as in flight, so concurrent first requests

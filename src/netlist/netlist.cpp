@@ -54,6 +54,11 @@ bool Netlist::nets_changed_since(std::uint64_t since, std::vector<NetId>& out) c
   return true;
 }
 
+void Netlist::drop_edit_journal() {
+  journal_ = {};
+  journal_floor_ = version_;
+}
+
 // Classify a connect/disconnect on `pin` of a cell with `spec`. Mirrors
 // exactly what levelize()/CombModel read from the netlist:
 //  * clock pins never carry logic edges, but clock routing conservatively

@@ -181,6 +181,10 @@ class Netlist {
   /// Returns false (out untouched) when the bounded journal no longer
   /// covers `since`; callers must then assume anything changed.
   bool nets_changed_since(std::uint64_t since, std::vector<NetId>& out) const;
+  /// Release the journal's records: afterwards nets_changed_since()
+  /// answers only for `since >= version()`. For netlists kept frozen whose
+  /// copies only ask about their own later edits (DesignCache goldens).
+  void drop_edit_journal();
 
  private:
   /// Dirty-classification bits accumulated while a public mutator runs.

@@ -34,6 +34,9 @@ std::string job_label(const FlowConfig& cfg) {
   return cfg.profile + "/tp=" + pct;
 }
 
+/// How long stop() lets connections finish sending their responses.
+constexpr std::chrono::milliseconds kConnDrainGrace{1000};
+
 bool send_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -143,7 +146,7 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job, ThreadPool& pool) {
       std::string perr;
       if (!job->config.resolve_profile(profile, &perr)) throw std::invalid_argument(perr);
       const std::shared_ptr<DesignCache::Entry> entry = cache_->acquire(profile);
-      Netlist nl = entry->netlist();  // private copy; the journal survives
+      Netlist nl = entry->netlist();  // private copy; journals its own edits
       FlowEngine engine(nl, profile, job->config.options);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(&job->cancel);
@@ -493,9 +496,13 @@ void FlowServer::serve_connection(int fd) {
       if (!send_all(fd, handle_request(line) + '\n')) break;
     }
   }
+  // Deregister before close: stop() must never shut down a reused fd.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fds_.erase(fd);
+  }
+  conn_cv_.notify_all();
   ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(fd);
 }
 
 void FlowServer::wait_until_shutdown() {
@@ -523,8 +530,16 @@ void FlowServer::stop() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    // Close only the read side first: a connection answers what it has
+    // already received, then reads EOF and ends. Shutting the write side
+    // too would race the shutdown RPC's own response. A client that never
+    // reads would block its connection in send(), so past the grace
+    // period the write side is cut as well.
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+    if (!conn_cv_.wait_for(lock, kConnDrainGrace, [&] { return conn_fds_.empty(); })) {
+      for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    }
   }
   std::vector<std::thread> conns;
   {

@@ -111,7 +111,10 @@ class FlowServer {
   bool listen(std::string* error = nullptr);
   /// Block until a shutdown RPC arrives (or stop() is called).
   void wait_until_shutdown();
-  /// Stop the socket front end and drain queued jobs. Idempotent.
+  /// Stop the socket front end and drain queued jobs. Idempotent. Every
+  /// request a connection has already received is still answered (the
+  /// shutdown RPC's own response included); a client that stops reading
+  /// is cut off after a short grace period, so it cannot hold stop().
   void stop();
   bool shutdown_requested() const;
 
@@ -162,6 +165,7 @@ class FlowServer {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::mutex conn_mu_;
+  std::condition_variable conn_cv_;  ///< signalled when a connection ends
   std::unordered_set<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
 };

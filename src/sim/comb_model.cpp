@@ -50,7 +50,7 @@ void CombModel::pad_to_netlist() {
   // no producer, no readers, outside every observe cone. Identical to what
   // a full rebuild assigns them.
   producer_.resize(nl_->num_nets(), -1);
-  readers_.resize(nl_->num_nets());
+  reader_off_.resize(nl_->num_nets() + 1, reader_off_.back());
   reaches_observe_.resize(nl_->num_nets(), 0);
   observed_.resize(nl_->num_nets(), 0);
 }
@@ -59,7 +59,6 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     : nl_(&nl), view_(view) {
   acyclic_ = topo.acyclic;
   producer_.assign(nl.num_nets(), -1);
-  readers_.assign(nl.num_nets(), {});
 
   nodes_.reserve(topo.order.size());
   for (const CellId cid : topo.order) {
@@ -96,12 +95,28 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     }
     const int idx = static_cast<int>(nodes_.size());
     if (node.out != kNoNet) producer_[static_cast<std::size_t>(node.out)] = idx;
-    for (int i = 0; i < node.num_inputs; ++i) {
-      if (node.in[i] != kNoNet) readers_[static_cast<std::size_t>(node.in[i])].push_back(idx);
-    }
-    if (node.sel != kNoNet) readers_[static_cast<std::size_t>(node.sel)].push_back(idx);
     nodes_.push_back(node);
   }
+
+  // Fanout CSR: count readers per net, prefix-sum into offsets, then fill
+  // in node order so every list comes out ascending.
+  reader_off_.assign(nl.num_nets() + 1, 0);
+  auto for_each_read = [this](auto&& fn) {
+    for (std::size_t idx = 0; idx < nodes_.size(); ++idx) {
+      const CombNode& node = nodes_[idx];
+      for (int i = 0; i < node.num_inputs; ++i) {
+        if (node.in[i] != kNoNet) fn(node.in[i], static_cast<int>(idx));
+      }
+      if (node.sel != kNoNet) fn(node.sel, static_cast<int>(idx));
+    }
+  };
+  for_each_read([this](NetId net, int) { ++reader_off_[static_cast<std::size_t>(net) + 1]; });
+  for (std::size_t n = 0; n < nl.num_nets(); ++n) reader_off_[n + 1] += reader_off_[n];
+  reader_idx_.resize(reader_off_.back());
+  std::vector<std::uint32_t> fill(reader_off_.begin(), reader_off_.end() - 1);
+  for_each_read([&](NetId net, int idx) {
+    reader_idx_[fill[static_cast<std::size_t>(net)]++] = idx;
+  });
 
   // Inputs: non-clock PIs, then boundary-FF outputs (pseudo-PIs).
   for (std::size_t i = 0; i < nl.num_pis(); ++i) {

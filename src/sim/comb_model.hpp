@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/levelize.hpp"
@@ -76,9 +77,12 @@ class CombModel {
 
   /// Node index computing each net, or −1 (inputs, constants, boundaries).
   int producer_of(NetId net) const { return producer_[static_cast<std::size_t>(net)]; }
-  /// Node indices reading each net (logic pins only), ascending topo order.
-  const std::vector<int>& readers_of(NetId net) const {
-    return readers_[static_cast<std::size_t>(net)];
+  /// Node indices reading each net (logic pins only), ascending topo order;
+  /// a node reading the net on two pins appears twice. One flat CSR array
+  /// serves every net, so a model costs no heap block per net.
+  std::span<const int> readers_of(NetId net) const {
+    const auto i = static_cast<std::size_t>(net);
+    return {reader_idx_.data() + reader_off_[i], reader_off_[i + 1] - reader_off_[i]};
   }
 
   /// Controllable nets: non-clock PI nets followed by boundary-FF Q nets.
@@ -122,7 +126,10 @@ class CombModel {
   std::vector<EvalOp> eval_ops_;
   std::size_t nodes_deduped_ = 0;
   std::vector<int> producer_;
-  std::vector<std::vector<int>> readers_;
+  /// Fanout in CSR form: readers of net n are
+  /// reader_idx_[reader_off_[n] .. reader_off_[n + 1]).
+  std::vector<std::uint32_t> reader_off_;
+  std::vector<int> reader_idx_;
   std::vector<NetId> input_nets_;
   std::size_t num_pi_inputs_ = 0;
   std::vector<NetId> observe_nets_;

@@ -27,6 +27,34 @@ TEST(FaultListTest, EquivalentCountsSumToUniverse) {
   EXPECT_EQ(sum, fl.total_uncollapsed);
 }
 
+// Equiv counts are 16-bit (a Fault is 16 bytes). A buffer chain whose one
+// equivalence class would exceed that is split, never wrapped: the counts
+// still sum to the universe, and no class passes the cap.
+TEST(FaultListTest, EquivClassPastSixteenBitsSplitsWithExactCounts) {
+  Netlist nl(&lib(), "long_chain");
+  const CellSpec* buf = lib().gate(CellFunc::kBuf, 1);
+  NetId prev = nl.pi_net(nl.add_primary_input("a"));
+  constexpr int kBuffers = 33000;  // one class of 1 + 2 * kBuffers pins
+  for (int i = 0; i < kBuffers; ++i) {
+    const CellId b = nl.add_cell(buf, "b" + std::to_string(i));
+    nl.connect(b, 0, prev);
+    const NetId out = nl.add_net("n" + std::to_string(i));
+    nl.connect(b, buf->output_pin, out);
+    prev = out;
+  }
+  nl.add_primary_output("po", prev);
+  CombModel model(nl, SeqView::kCapture);
+  const FaultList fl = build_fault_list(model);
+  EXPECT_EQ(fl.total_uncollapsed, 2 * (1 + 2 * kBuffers));
+  EXPECT_EQ(fl.faults.size(), 4u);  // each polarity splits once
+  std::int64_t sum = 0;
+  for (const Fault& f : fl.faults) {
+    EXPECT_LE(f.equiv_count, Fault::kMaxEquivCount);
+    sum += f.equiv_count;
+  }
+  EXPECT_EQ(sum, fl.total_uncollapsed);
+}
+
 TEST(FaultListTest, CollapsingReducesFaults) {
   auto nl = generate_circuit(lib(), test::tiny_profile(4));
   CombModel model(*nl, SeqView::kCapture);

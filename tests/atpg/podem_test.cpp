@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "../common/test_circuits.hpp"
 #include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
+#include "util/rng.hpp"
 
 namespace tpi {
 namespace {
@@ -212,6 +216,8 @@ TEST(PodemTest, BacktrackLimitYieldsAborted) {
 // order: generate() must be a pure function of the fault. One instance
 // generating the fault list forward and then backward (through the
 // result-reusing overload) must return identical results.
+// The second pass uses a tiny implication budget, so most calls leave
+// through the implication-limit early return with events still queued.
 TEST(PodemTest, ResultsIndependentOfCallOrder) {
   CircuitProfile p = test::tiny_profile(7);
   p.num_hard_blocks = 4;
@@ -222,24 +228,99 @@ TEST(PodemTest, ResultsIndependentOfCallOrder) {
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   const FaultList fl = build_fault_list(model);
-  Podem podem(model, t, {});
+  for (const std::int64_t implication_limit : {std::int64_t{2'000'000}, std::int64_t{40}}) {
+    PodemOptions opts;
+    opts.implication_limit = implication_limit;
+    Podem podem(model, t, opts);
 
-  std::vector<PodemResult> forward;
-  for (const Fault& f : fl.faults) forward.push_back(podem.generate(f));
-  int outcomes[3] = {};
-  PodemResult reused;
-  for (std::size_t i = fl.faults.size(); i-- > 0;) {
-    podem.generate(fl.faults[i], reused);
-    EXPECT_EQ(reused.outcome, forward[i].outcome) << "fault " << i;
-    EXPECT_EQ(reused.cube, forward[i].cube) << "fault " << i;
-    EXPECT_EQ(reused.backtracks, forward[i].backtracks) << "fault " << i;
-    ++outcomes[static_cast<int>(reused.outcome)];
+    std::vector<PodemResult> forward;
+    for (const Fault& f : fl.faults) forward.push_back(podem.generate(f));
+    int outcomes[3] = {};
+    PodemResult reused;
+    for (std::size_t i = fl.faults.size(); i-- > 0;) {
+      podem.generate(fl.faults[i], reused);
+      EXPECT_EQ(reused.outcome, forward[i].outcome) << "fault " << i;
+      EXPECT_EQ(reused.cube, forward[i].cube) << "fault " << i;
+      EXPECT_EQ(reused.backtracks, forward[i].backtracks) << "fault " << i;
+      ++outcomes[static_cast<int>(reused.outcome)];
+    }
+    // Every outcome is exercised, so the order independence covers state
+    // left behind by tests, redundancy proofs and aborts alike.
+    EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kTest)], 0);
+    EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kRedundant)], 0);
+    EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kAborted)], 0);
   }
-  // Every outcome is exercised, so the order independence covers state left
-  // behind by tests, redundancy proofs and aborts alike.
-  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kTest)], 0);
-  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kRedundant)], 0);
-  EXPECT_GT(outcomes[static_cast<int>(PodemOutcome::kAborted)], 0);
+}
+
+// The event queue must pop exactly what a min-heap set would, including
+// after pushes below the last pop (re-queued nodes on a cyclic view) and
+// after clear() drops a half-drained queue.
+TEST(NodeQueueTest, PopsTheSmallestQueuedIndexLikeAnOrderedSet) {
+  constexpr int kNodes = 70'000;  // more than one 4096-node summary word
+  NodeQueue queue;
+  queue.resize(kNodes);
+  std::set<int> reference;
+  Rng rng(5);
+  EXPECT_EQ(queue.pop(), -1);
+  for (int round = 0; round < 200; ++round) {
+    const int pushes = static_cast<int>(rng.next_below(300));
+    for (int k = 0; k < pushes; ++k) {
+      const int node = static_cast<int>(rng.next_below(kNodes));
+      queue.push(node);
+      reference.insert(node);
+    }
+    const int pops = static_cast<int>(rng.next_below(400));
+    for (int k = 0; k < pops; ++k) {
+      const int want = reference.empty() ? -1 : *reference.begin();
+      if (!reference.empty()) reference.erase(reference.begin());
+      ASSERT_EQ(queue.pop(), want) << "round " << round;
+    }
+    if (round % 50 == 49) {
+      queue.clear();
+      reference.clear();
+      EXPECT_EQ(queue.pop(), -1);
+    }
+  }
+}
+
+
+// Golden pin on the search itself: every fault of the three paper profiles
+// at scale 0.05, folded into one FNV-1a digest over (outcome, backtracks,
+// cube). Any change to decision order, D-frontier order, CO tie-breaks or
+// implication order moves it. Regenerate only with a deliberate change to
+// the search, and say so in the change log.
+TEST(PodemGoldenTest, PaperProfilesDigestIsPinned) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  std::size_t faults = 0;
+  int outcomes[3] = {};
+  PodemResult r;
+  for (const CircuitProfile& p : paper_profiles()) {
+    auto nl = generate_circuit(lib(), scaled(p, 0.05));
+    CombModel model(*nl, SeqView::kCapture);
+    const TestabilityResult t = analyze_testability(model);
+    const FaultList fl = build_fault_list(model);
+    Podem podem(model, t, {});
+    for (const Fault& f : fl.faults) {
+      podem.generate(f, r);
+      mix(static_cast<std::uint64_t>(r.outcome), 1);
+      mix(static_cast<std::uint64_t>(r.backtracks), 4);
+      mix(r.cube.size(), 4);
+      for (const Tern v : r.cube) mix(static_cast<std::uint64_t>(v), 1);
+      ++outcomes[static_cast<int>(r.outcome)];
+      ++faults;
+    }
+  }
+  EXPECT_EQ(faults, 14955u);
+  EXPECT_EQ(outcomes[static_cast<int>(PodemOutcome::kTest)], 13037);
+  EXPECT_EQ(outcomes[static_cast<int>(PodemOutcome::kRedundant)], 1376);
+  EXPECT_EQ(outcomes[static_cast<int>(PodemOutcome::kAborted)], 542);
+  EXPECT_EQ(h, 0x7066baac87fdd608ULL);
 }
 
 }  // namespace

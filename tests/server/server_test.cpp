@@ -6,17 +6,27 @@
 #include "server/flow_server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../common/test_circuits.hpp"
+#include "../common/watchdog.hpp"
 #include "server/client.hpp"
 #include "circuits/design_cache.hpp"
+#include "circuits/generator.hpp"
+#include "tpi/tpi.hpp"
 #include "util/json.hpp"
 
 namespace tpi {
@@ -382,6 +392,48 @@ TEST(DesignCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   EXPECT_GT(eb->netlist().num_cells(), 0u);
 }
 
+// Cache entries hold an exact-capacity copy of the generated netlist with
+// the generator's edit journal dropped. The copy keeps the edit version
+// (views adopt by version), a checkout still journals its own edits, and
+// a job served from the entry matches a fresh engine byte for byte.
+TEST(DesignCacheTest, CompactedEntryServesFlowsIdenticalToAFreshEngine) {
+  FlowConfig cfg;
+  std::string error;
+  ASSERT_TRUE(FlowConfig::from_json("{\"tp_percent\": 4.0}", tiny_base(), cfg, &error))
+      << error;
+  CircuitProfile profile;
+  ASSERT_TRUE(cfg.resolve_profile(profile, &error)) << error;
+
+  DesignCache cache(test::lib(), std::size_t{256} << 20);
+  const auto entry = cache.acquire(profile);
+  const auto generated = generate_circuit(test::lib(), profile);
+  const Netlist& golden = entry->netlist();
+  EXPECT_EQ(golden.version(), generated->version());
+  EXPECT_EQ(golden.num_nets(), generated->num_nets());
+  std::vector<NetId> changed;
+  EXPECT_FALSE(golden.nets_changed_since(golden.version() - 1, changed));
+  EXPECT_TRUE(golden.nets_changed_since(golden.version(), changed));
+  EXPECT_TRUE(changed.empty());
+
+  Netlist checkout = golden;
+  TpiOptions tpi;
+  tpi.num_test_points = 4;
+  const TpiReport report = insert_test_points(checkout, tpi);
+  ASSERT_FALSE(report.nets_changed_per_round.empty());
+  for (const int n : report.nets_changed_per_round) EXPECT_GE(n, 0);
+
+  FlowEngine fresh(test::lib(), cfg);
+  const JsonParseResult expected = json_parse(flow_result_to_json(fresh.run(cfg.stages)));
+  ASSERT_TRUE(expected.ok) << expected.error;
+  FlowServerOptions opts;
+  opts.workers = 1;
+  FlowServer server(tiny_base(), opts);
+  const JsonValue result = wait_result(server, submit(server, "{\"tp_percent\": 4.0}"));
+  ASSERT_EQ(result.find("state")->as_string(), "done");
+  ASSERT_NE(result.find("flow"), nullptr);
+  EXPECT_EQ(result.find("flow")->serialise(), expected.value.serialise());
+}
+
 TEST(FlowServerTest, MetricsRpcExposesBothFormats) {
   FlowServerOptions opts;
   opts.workers = 1;
@@ -596,6 +648,116 @@ TEST(FlowServerTest, SocketRoundTrip) {
   EXPECT_TRUE(server.shutdown_requested());
   client.close();
   server.stop();
+}
+
+// Raw AF_UNIX connection for the tests that must control exactly when a
+// client writes and whether it reads at all. -1 on failure.
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::string test_socket_path(const char* tag) {
+  return "/tmp/tpi_server_test_" + std::to_string(::getpid()) + "_" + tag + ".sock";
+}
+
+// Regression: stop() used to shut down both directions of every
+// connection as soon as the shutdown RPC flipped its flag, racing that
+// RPC's own response (and cutting every response still owed). The client
+// pipelines a shutdown followed by many requests in one write, so they
+// are all received before stop() runs; every one must be answered.
+TEST(FlowServerTest, StopAnswersEveryRequestAlreadyReceived) {
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.socket_path = test_socket_path("drain");
+  FlowServer server(tiny_base(), opts);
+  std::string error;
+  ASSERT_TRUE(server.listen(&error)) << error;
+
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  constexpr int kPipelined = 100;
+  std::string batch = "{\"id\": 0, \"method\": \"shutdown\"}\n";
+  for (int i = 1; i <= kPipelined; ++i) {
+    batch += "{\"id\": " + std::to_string(i) + ", \"method\": \"metrics\"}\n";
+  }
+  // One write of a few KiB lands in the server's receive queue at once.
+  ASSERT_EQ(::send(fd, batch.data(), batch.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(batch.size()));
+  std::string received;
+  std::thread reader([fd, &received] {
+    char chunk[65536];
+    for (;;) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) break;
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+  });
+  test::run_with_watchdog([&] {
+    server.wait_until_shutdown();
+    server.stop();
+  });
+  reader.join();
+  ::close(fd);
+
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0, nl; (nl = received.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    lines.push_back(received.substr(pos, nl - pos));
+  }
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPipelined) + 1);
+  const JsonValue first = parse_response(lines.front());
+  ASSERT_NE(first.find("result"), nullptr) << lines.front();
+  EXPECT_TRUE(first.find("result")->find("ok")->as_bool());
+  for (int i = 1; i <= kPipelined; ++i) {
+    const JsonValue resp = parse_response(lines[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(resp.find("id")->as_number(), static_cast<double>(i));
+    EXPECT_NE(resp.find("result"), nullptr) << lines[static_cast<std::size_t>(i)];
+  }
+}
+
+// The drain must stay bounded: a client that floods requests and never
+// reads a response parks its connection thread in send(); stop() cuts it
+// off after the grace period instead of waiting for the client.
+TEST(FlowServerTest, StopDoesNotWaitForAClientThatNeverReads) {
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.socket_path = test_socket_path("stall");
+  FlowServer server(tiny_base(), opts);
+  std::string error;
+  ASSERT_TRUE(server.listen(&error)) << error;
+
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  // Write until the socket pushes back: the server's send buffer toward
+  // us is then full and its connection thread is blocked in send().
+  const std::string request = "{\"id\": 1, \"method\": \"metrics\"}\n";
+  const auto flood_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  int pushed_back = 0;
+  while (pushed_back < 50 && std::chrono::steady_clock::now() < flood_deadline) {
+    const ssize_t n = ::send(fd, request.data(), request.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+      ++pushed_back;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_EQ(pushed_back, 50) << "the server kept reading; nothing is blocked";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  test::run_with_watchdog([&] { server.stop(); });
+  const double stop_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ::close(fd);
+  EXPECT_LT(stop_s, 10.0);
 }
 
 TEST(FlowServerTest, ProtocolErrors) {

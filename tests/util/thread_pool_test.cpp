@@ -4,36 +4,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../common/watchdog.hpp"
 #include "util/trace.hpp"
 
 namespace tpi {
 namespace {
 
-/// Runs `body` on its own thread and fails the whole test binary if it has
-/// not returned within `limit`: a deadlocked pool must fail, not hang ctest.
-void run_with_watchdog(const std::function<void()>& body,
-                       std::chrono::seconds limit = std::chrono::seconds(60)) {
-  std::promise<void> done;
-  std::future<void> finished = done.get_future();
-  std::thread runner([&body, &done] {
-    body();
-    done.set_value();
-  });
-  if (finished.wait_for(limit) != std::future_status::ready) {
-    std::fprintf(stderr, "watchdog: no progress after %llds, deadlock\n",
-                 static_cast<long long>(limit.count()));
-    std::fflush(stderr);
-    std::_Exit(1);
-  }
-  runner.join();
-}
+using test::run_with_watchdog;
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);
