@@ -19,7 +19,6 @@
 //   TPI_TRACE         path to write a Chrome trace-event JSON of the run
 //                     (load in chrome://tracing or Perfetto; default: off)
 //   TPI_LOG_LEVEL     debug|info|warn|error|silent (default warn)
-//   TPI_BENCH_VERBOSE legacy alias: set (and TPI_LOG_LEVEL unset) = info
 #pragma once
 
 #include <cstdio>

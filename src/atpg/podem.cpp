@@ -203,19 +203,6 @@ int Podem::pick_d_frontier() {
   return best;
 }
 
-bool Podem::objective(NetId* net, Tern* value) {
-  // Kept for unit tests: a single objective without the multi-candidate
-  // search of find_decision().
-  const auto site = static_cast<std::size_t>(fault_->net);
-  const Tern want = tern_of(!fault_->stuck1);
-  if (vg_[site] == Tern::kX) {
-    *net = fault_->net;
-    *value = want;
-    return true;
-  }
-  return false;
-}
-
 // Enumerate the propagation objectives a D-frontier node offers; calls
 // try(net, value) for each until it returns true.
 template <typename Fn>

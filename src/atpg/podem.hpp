@@ -78,14 +78,12 @@ class Podem {
   bool assign_and_imply(NetId net, Tern value);
   void eval_node(int node_index);
   void set_net(NetId net, Tern g, Tern f);
-  bool objective(NetId* net, Tern* value);
   void rebuild_d_frontier();
   template <typename Fn>
   bool for_each_propagation_objective(int node_index, Fn&& try_objective);
   bool find_decision(NetId* in_net, Tern* in_val);
   bool backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input_val);
   int pick_d_frontier();
-  bool fault_detected() const { return detected_; }
 
   const CombModel& model_;
   const TestabilityResult& scoap_;

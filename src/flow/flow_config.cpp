@@ -157,13 +157,6 @@ FlowConfig FlowConfig::from_env(const FlowConfig& base) {
   if (const std::optional<std::string> v = env_string("TPI_TRACE_DIR")) cfg.trace_dir = *v;
   if (const std::optional<std::string> v = env_string("TPI_LEDGER")) cfg.ledger = *v;
 
-  // TPI_LOG_LEVEL wins; the legacy TPI_BENCH_VERBOSE alias only upgrades
-  // the fallback (matching the historical bench_common behaviour).
-  LogLevel fallback = base.log_level;
-  if (env_string("TPI_BENCH_VERBOSE") && fallback > LogLevel::kInfo) {
-    fallback = LogLevel::kInfo;
-  }
-  cfg.log_level = fallback;
   if (const std::optional<std::string> v = env_string("TPI_LOG_LEVEL")) {
     if (const std::optional<LogLevel> parsed = parse_log_level(*v)) {
       cfg.log_level = *parsed;

@@ -9,7 +9,7 @@
 //   * from the environment  — FlowConfig::from_env(), the single place
 //     TPI_BENCH_JOBS / TPI_ATPG_JOBS / TPI_FAULT_MODEL / TPI_BENCH_SCALE /
 //     TPI_BENCH_JSON / TPI_TRACE / TPI_TRACE_DIR / TPI_LEDGER /
-//     TPI_LOG_LEVEL (+ TPI_BENCH_VERBOSE alias) / TPI_FUZZ_SEED /
+//     TPI_LOG_LEVEL / TPI_FUZZ_SEED /
 //     TPI_FUZZ_ITERS / TPI_SERVER_SOCKET / TPI_SERVER_CACHE_MB /
 //     TPI_SERVER_QUEUE_LIMIT / TPI_SIMD / TPI_SOC_CORES /
 //     TPI_SOC_TAM_WIDTH / TPI_SOC_SCHEDULE are parsed and validated;

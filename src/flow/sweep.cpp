@@ -36,20 +36,24 @@ std::string stages_json(const StageTimings& t) {
   return out + "}";
 }
 
-// Fault-sim kernel profile of the cell's ATPG run: per-phase wall clock
-// plus the (job-count-independent) event counters.
-std::string atpg_profile_json(const AtpgKernelProfile& p) {
-  const AtpgPhaseProfile t = p.total();
+// The cell's ATPG kernel profile, read from the counters and runtime gauges
+// run_atpg recorded into its metrics: per-phase wall clock plus the
+// (job-count-independent) fault-sim counters. A cell that ran no ATPG
+// reads jobs 1 and zeros.
+std::string atpg_kernel_json(const MetricsSnapshot& m) {
+  auto count = [&m](const char* name) {
+    return std::to_string(static_cast<std::uint64_t>(m.number(name)));
+  };
   std::string out = "{";
-  out += "\"jobs\": " + std::to_string(p.jobs) + ", ";
-  out += "\"random_ms\": " + report_number(p.random.wall_ms) + ", ";
-  out += "\"podem_ms\": " + report_number(p.podem.wall_ms) + ", ";
-  out += "\"compaction_ms\": " + report_number(p.compaction.wall_ms) + ", ";
-  out += "\"batches\": " + std::to_string(t.batches) + ", ";
-  out += "\"faults_graded\": " + std::to_string(t.faults_graded) + ", ";
-  out += "\"cone_skips\": " + std::to_string(t.cone_skips) + ", ";
-  out += "\"node_evals\": " + std::to_string(t.node_evals) + ", ";
-  out += "\"events\": " + std::to_string(t.events) + "}";
+  out += "\"jobs\": " + std::to_string(static_cast<int>(m.number("rt.atpg.jobs", 1))) + ", ";
+  out += "\"random_ms\": " + report_number(m.number("rt.atpg.random_ms")) + ", ";
+  out += "\"podem_ms\": " + report_number(m.number("rt.atpg.podem_ms")) + ", ";
+  out += "\"compaction_ms\": " + report_number(m.number("rt.atpg.compaction_ms")) + ", ";
+  out += "\"batches\": " + count("atpg.sim.batches") + ", ";
+  out += "\"faults_graded\": " + count("atpg.sim.faults_graded") + ", ";
+  out += "\"cone_skips\": " + count("atpg.sim.cone_skips") + ", ";
+  out += "\"node_evals\": " + count("atpg.sim.node_evals") + ", ";
+  out += "\"events\": " + count("atpg.sim.events") + "}";
   return out;
 }
 
@@ -142,7 +146,7 @@ std::string SweepReport::to_json() const {
              ", ";
       out += "\"qualified_faults\": " + std::to_string(r.at_speed.qualified_faults) + "}, ";
     }
-    out += "\"atpg_kernel\": " + atpg_profile_json(r.atpg.profile) + ", ";
+    out += "\"atpg_kernel\": " + atpg_kernel_json(r.metrics) + ", ";
     out += "\"stages\": " + stages_json(r.timings) + "}";
     entries.push_back(std::move(out));
   }

@@ -21,8 +21,8 @@
 
 namespace tpi {
 
-/// Event counters accumulated by fault grading; the ATPG kernel profile
-/// sums them per phase. Totals are independent of the worker count because
+/// Event counters accumulated by fault grading; run_atpg publishes their
+/// per-run sums as the atpg.sim.* metrics. Totals are independent of the worker count because
 /// each fault is graded exactly once (they do depend on the logical batch
 /// width, which is fixed algorithmically — see simd.hpp).
 struct FaultSimStats {

@@ -186,6 +186,12 @@ const MetricValue* MetricsSnapshot::find(std::string_view name) const {
   return nullptr;
 }
 
+double MetricsSnapshot::number(std::string_view name, double missing) const {
+  const MetricValue* m = find(name);
+  if (m == nullptr) return missing;
+  return m->kind == MetricKind::kCounter ? static_cast<double>(m->count) : m->value;
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const MetricValue& o : other.metrics) {
     const auto it = std::lower_bound(

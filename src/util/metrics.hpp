@@ -79,6 +79,9 @@ struct MetricsSnapshot {
 
   bool empty() const { return metrics.empty(); }
   const MetricValue* find(std::string_view name) const;
+  /// A counter's count or a gauge's value; `missing` when the snapshot has
+  /// no metric `name`.
+  double number(std::string_view name, double missing = 0.0) const;
   void merge(const MetricsSnapshot& other);
 
   enum Runtime { kNoRuntime = 0, kWithRuntime = 1 };

@@ -126,6 +126,7 @@ TEST(FlowConfigTest, FromEnvKeepsBaseForUnsetAndInvalidValues) {
   base.bench_jobs = 7;
   base.options.atpg.jobs = 5;
   base.fuzz_iters = 33;
+  base.log_level = LogLevel::kDebug;
   const FlowConfig cfg = FlowConfig::from_env(base);
   EXPECT_DOUBLE_EQ(cfg.scale, 0.5);
   EXPECT_EQ(cfg.bench_jobs, 7);
@@ -134,16 +135,18 @@ TEST(FlowConfigTest, FromEnvKeepsBaseForUnsetAndInvalidValues) {
   EXPECT_EQ(cfg.fuzz_iters, 33);
 }
 
-TEST(FlowConfigTest, BenchVerboseAliasOnlyUpgradesFallback) {
+// The log level falls back to the base config unless TPI_LOG_LEVEL names a
+// valid level (the invalid case is covered above).
+TEST(FlowConfigTest, LogLevelEnvOverridesBaseAndUnsetKeepsIt) {
+  FlowConfig base;
+  base.log_level = LogLevel::kError;
   {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
     const ScopedEnv l("TPI_LOG_LEVEL", nullptr);
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kInfo);
+    EXPECT_EQ(FlowConfig::from_env(base).log_level, LogLevel::kError);
   }
   {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
     const ScopedEnv l("TPI_LOG_LEVEL", "silent");
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kSilent);
+    EXPECT_EQ(FlowConfig::from_env(base).log_level, LogLevel::kSilent);
   }
 }
 
@@ -186,7 +189,7 @@ TEST(FlowConfigTest, AtpgJobsExplicitConfigBeatsEnv) {
   // And the engine actually runs with the explicit value.
   FlowEngine engine(test::lib(), cfg);
   const FlowResult& res = engine.run(StageMask::through(Stage::kReorderAtpg));
-  EXPECT_EQ(res.atpg.profile.jobs, 2);
+  EXPECT_EQ(res.metrics.number("rt.atpg.jobs"), 2.0);
 }
 
 TEST(FlowConfigTest, StagesParsing) {

@@ -241,6 +241,55 @@ TEST(SweepRunnerTest, JsonReportContainsCellsAndStageTotals) {
   }
 }
 
+// The "atpg_kernel" object of a sweep cell, parsed back from the report.
+JsonObject atpg_kernel_of(int atpg_jobs, StageMask stages) {
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.progress = false;
+  FlowOptions base;
+  base.atpg.jobs = atpg_jobs;
+  const SweepReport report = SweepRunner(opts).run(
+      lib(), SweepRunner::grid({test::tiny_profile(35)}, {2.0}, base, stages));
+  const JsonParseResult parsed = json_parse(report.to_json());
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  const JsonValue* cells = parsed.value.find("benchmarks");
+  if (cells == nullptr || cells->as_array().empty()) return {};
+  const JsonValue* kernel = cells->as_array().front().find("atpg_kernel");
+  return kernel != nullptr ? kernel->as_object() : JsonObject{};
+}
+
+// "atpg_kernel" reads the cell's metrics: nine keys in a fixed order, the
+// fault-sim counters identical at any ATPG worker count, "jobs" the workers
+// used, and jobs 1 with zeros on a cell that ran no ATPG.
+TEST(SweepRunnerTest, AtpgKernelObjectReadsCellMetrics) {
+  const std::vector<std::string> keys{"jobs",       "random_ms",     "podem_ms",
+                                      "compaction_ms", "batches",   "faults_graded",
+                                      "cone_skips", "node_evals",    "events"};
+  auto names = [](const JsonObject& o) {
+    std::vector<std::string> out;
+    for (const auto& [k, v] : o) out.push_back(k);
+    return out;
+  };
+  const JsonObject one = atpg_kernel_of(1, StageMask::all());
+  const JsonObject four = atpg_kernel_of(4, StageMask::all());
+  ASSERT_EQ(names(one), keys);
+  ASSERT_EQ(names(four), keys);
+  EXPECT_EQ(one[0].second.as_number(), 1.0);
+  EXPECT_EQ(four[0].second.as_number(), 4.0);
+  for (std::size_t i = 4; i < keys.size(); ++i) {
+    EXPECT_EQ(one[i].second.as_number(), four[i].second.as_number()) << keys[i];
+  }
+  EXPECT_GT(one[4].second.as_number(), 0.0);  // batches
+  EXPECT_GT(one[5].second.as_number(), 0.0);  // faults_graded
+
+  const JsonObject none = atpg_kernel_of(4, StageMask::all().without(Stage::kReorderAtpg));
+  ASSERT_EQ(names(none), keys);
+  EXPECT_EQ(none[0].second.as_number(), 1.0);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_EQ(none[i].second.as_number(), 0.0) << keys[i];
+  }
+}
+
 TEST(SweepRunnerTest, HonoursPerJobStageMask) {
   SweepOptions opts;
   opts.jobs = 2;
