@@ -7,17 +7,6 @@
 #include "sim/parallel_sim.hpp"
 
 namespace tpi {
-namespace {
-
-// Valid-lane mask for lane word j of a batch holding `count` patterns.
-Word lane_mask(std::size_t count, int j) {
-  const std::size_t base = static_cast<std::size_t>(j) * kWordBits;
-  if (count <= base) return 0;
-  const std::size_t lanes = count - base;
-  return lanes >= static_cast<std::size_t>(kWordBits) ? ~Word{0} : (Word{1} << lanes) - 1;
-}
-
-}  // namespace
 
 ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& faults,
                              const std::vector<TestPattern>& patterns) {
@@ -105,7 +94,7 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
       kernels.forced(capture_model, good.values().data(), faulty_scratch.data(), task, detect, nw);
       Word any = 0;
       for (int j = 0; j < nw; ++j) {
-        Word d = detect[j] & lane_mask(batch, j);
+        Word d = detect[j] & lane_mask(batch, static_cast<std::size_t>(j));
         if (transition) {
           const Word launch =
               launch_values[static_cast<std::size_t>(fault.net) *
