@@ -9,10 +9,10 @@
 //                     (default 1.0 = paper-sized; use e.g. 0.2 for smoke runs)
 //   TPI_BENCH_JOBS    worker threads for the sweep grid
 //                     (default: hardware concurrency; 1 = serial)
-//   TPI_ATPG_JOBS     fault-simulation worker threads inside each cell's
-//                     ATPG stage (default 1: the grid already runs cells in
-//                     parallel; raise it for single-circuit runs). Results
-//                     are bit-identical at any value.
+//   TPI_ATPG_JOBS     fan-out width of PODEM and fault simulation inside
+//                     each cell's ATPG stage, on the grid's own pool (no
+//                     extra threads; default 1: the grid already runs cells
+//                     in parallel). Results are bit-identical at any value.
 //   TPI_BENCH_JSON    path to write the aggregate per-stage timing report
 //                     (google-benchmark-style JSON with a "metrics"
 //                     snapshot; default: not written)

@@ -15,6 +15,7 @@
 #include "sta/sta.hpp"
 #include "tpi/tpi.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 #include "verify/equiv.hpp"
 #include "verify/miter.hpp"
@@ -136,7 +137,9 @@ const Netlist& grade_netlist() { return grade_netlist_mutable(); }
 // (results are bit-identical across args; only the wall clock moves).
 void BM_FaultGradeLive(benchmark::State& state) {
   const CombModel model(grade_netlist(), SeqView::kCapture);
-  FaultSimBank bank(model, static_cast<int>(state.range(0)));
+  const int jobs = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<unsigned>(jobs));
+  FaultSimBank bank(model, &pool, jobs);
   bank.configure_lanes(kMaxLaneWords);
   FaultList fl = build_fault_list(model);
   std::vector<Fault*> live;

@@ -121,7 +121,7 @@ int main() {
           ScopedTraceSink scope(*sinks[static_cast<std::size_t>(j)]);
           trace_instant(kMarkers[j]);
           FlowOptions o = opts;
-          o.atpg.jobs = 1;  // inner-pool spans would land in the global log
+          o.atpg.jobs = 2;  // grade chunks fork onto this pool, into this sink
           FlowEngine e(*lib, small, o);
           e.run();
         }));
@@ -140,6 +140,7 @@ int main() {
       }
       check(contains(sink_json, "\"process_name\""), "sink has a process_name row");
       check(contains(sink_json, "tpi_scan"), "sink has the job's stage spans");
+      check(contains(sink_json, "atpg.grade_chunk"), "sink has the job's grade chunks");
       for (int other = 0; other < kJobs; ++other) {
         const bool expect = other == j;
         if (contains(sink_json, kMarkers[other]) != expect) {

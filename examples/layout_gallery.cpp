@@ -13,6 +13,7 @@
 #include "circuits/generator.hpp"
 #include "layout/clock_tree.hpp"
 #include "layout/svg.hpp"
+#include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
 #include "util/log.hpp"
@@ -38,7 +39,8 @@ int main(int argc, char** argv) {
   TpiOptions tpi_opts;
   tpi_opts.num_test_points = static_cast<int>(
       tp_percent / 100.0 * static_cast<double>(nl->flip_flops().size()));
-  insert_test_points(*nl, tpi_opts);
+  DesignDB db(*nl);
+  insert_test_points(db, tpi_opts);
   ScanOptions scan_opts;
   scan_opts.max_chain_length = profile.max_chain_length;
   scan_opts.max_chains = profile.max_chains;

@@ -1,11 +1,10 @@
 #include "atpg/atpg.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "atpg/fault_sim.hpp"
 #include "netlist/design_db.hpp"
@@ -88,37 +87,33 @@ constexpr std::size_t kWindowPerWorker = 4;
 
 // Phase 2's PODEM window. The caller pushes upcoming targets in target
 // order and consumes the results in the same order. With a pool, each
-// target runs on a pool worker on one of pool->size() Podem instances
-// (taken from an idle list: a pool runs at most size() tasks at once);
-// without one, push() runs PODEM inline, so the serial flow is the same
-// loop with a window of one. Correct because Podem::generate is a pure
-// function of the fault: a result computed early is the result the serial
-// loop computes on reaching the target.
+// target is a fork of that pool, queued one priority level below the
+// run's grading chunks so a drop never waits for the queued part of the
+// window; the caller joins the oldest in front(), so under the join rule a
+// pool worker runs its own unclaimed target inline and the window cannot
+// deadlock a shared pool. Without a pool, push() runs PODEM inline, so the
+// serial flow is the same loop with a window of one. Correct because
+// Podem::generate is a pure function of the fault: a result computed early
+// is the result the serial loop computes on reaching the target.
 class PodemWindow {
  public:
   struct Slot {
     std::size_t fault_index = 0;
     Fault fault;  ///< the worker's copy; the caller updates statuses meanwhile
     PodemResult result;
-    std::future<void> done;  ///< invalid once consumed, or when run inline
+    std::optional<ThreadPool::Fork<void>> done;  ///< empty once consumed, or when run inline
   };
 
+  /// A window of `width` x kWindowPerWorker targets on `pool`, or of one
+  /// inline target when `pool` is null.
   PodemWindow(const CombModel& model, const TestabilityResult& testability,
-              const PodemOptions& opts, ThreadPool* pool)
-      : pool_(pool), slots_(pool != nullptr ? pool->size() * kWindowPerWorker : 1) {
-    const std::size_t workers = pool != nullptr ? pool->size() : 1;
-    for (std::size_t i = 0; i < workers; ++i) {
-      podems_.push_back(std::make_unique<Podem>(model, testability, opts));
-      idle_.push_back(podems_.back().get());
-    }
+              const PodemOptions& opts, ThreadPool* pool, std::size_t width)
+      : model_(model),
+        testability_(testability),
+        opts_(opts),
+        pool_(pool),
+        slots_(pool != nullptr ? width * kWindowPerWorker : 1) {
     for (Slot& s : slots_) s.result.cube.reserve(model.input_nets().size());
-  }
-
-  // In-flight tasks use the slots and the Podem instances.
-  ~PodemWindow() {
-    for (Slot& s : slots_) {
-      if (s.done.valid()) s.done.wait();
-    }
   }
 
   PodemWindow(const PodemWindow&) = delete;
@@ -136,18 +131,19 @@ class PodemWindow {
     s.fault_index = fault_index;
     s.fault = fault;
     if (pool_ == nullptr) {
-      idle_.front()->generate(s.fault, s.result);
+      run(s);
       return;
     }
-    // Below the fault-sim chunks' priority 0, so a drop never waits for
-    // the queued part of the window.
-    s.done = pool_->submit_prioritized(-1, [this, &s] { run(s); });
+    s.done.emplace(pool_->fork([this, &s] { run(s); }, -1));
   }
 
   /// The oldest target, after its result is ready.
   Slot& front() {
     Slot& s = slots_[head_];
-    if (s.done.valid()) s.done.get();
+    if (s.done) {
+      s.done->join();
+      s.done.reset();
+    }
     return s;
   }
 
@@ -157,30 +153,32 @@ class PodemWindow {
   }
 
  private:
+  // Leases an idle Podem, building one only when every instance is busy:
+  // the window never holds more instances than targets ever ran at once.
   void run(Slot& s) {
-    Podem* podem = nullptr;
+    std::unique_ptr<Podem> podem;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      assert(!idle_.empty());
-      podem = idle_.back();
-      idle_.pop_back();
-    }
-    struct Release {
-      PodemWindow* w;
-      Podem* p;
-      ~Release() {
-        std::lock_guard<std::mutex> lock(w->mu_);
-        w->idle_.push_back(p);
+      if (!idle_.empty()) {
+        podem = std::move(idle_.back());
+        idle_.pop_back();
       }
-    } release{this, podem};
+    }
+    if (podem == nullptr) podem = std::make_unique<Podem>(model_, testability_, opts_);
     podem->generate(s.fault, s.result);
+    std::lock_guard<std::mutex> lock(mu_);
+    idle_.push_back(std::move(podem));
   }
 
+  const CombModel& model_;
+  const TestabilityResult& testability_;
+  PodemOptions opts_;
   ThreadPool* pool_;
-  std::vector<std::unique_ptr<Podem>> podems_;
   std::mutex mu_;
-  std::vector<Podem*> idle_;  ///< guarded by mu_; capacity podems_.size()
-  std::vector<Slot> slots_;   ///< ring: count_ slots from head_
+  std::vector<std::unique_ptr<Podem>> idle_;  ///< guarded by mu_
+  // Declared after everything its tasks use: destroying a slot waits for
+  // its in-flight task.
+  std::vector<Slot> slots_;  ///< ring: count_ slots from head_
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::uint64_t pushed_ = 0;
@@ -196,7 +194,15 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   res.total_faults = res.faults.total_uncollapsed;
   const bool loc = opts.fault_model == FaultModel::kTransition;
 
-  FaultSimBank bank(model, opts.jobs);
+  // Grading and PODEM fan out on the pool this call runs on. A caller on
+  // no pool that asks for more than one job gets a pool for this run only.
+  ThreadPool* pool = ThreadPool::current();
+  std::optional<ThreadPool> own_pool;
+  if (pool == nullptr && opts.jobs != 1) {
+    pool = &own_pool.emplace(opts.jobs > 0 ? static_cast<unsigned>(opts.jobs) : 0u);
+  }
+  FaultSimBank bank(model, pool, opts.jobs);
+  const std::size_t width = static_cast<std::size_t>(bank.jobs());
   Rng rng(opts.seed);
   const std::size_t num_inputs = model.input_nets().size();
 
@@ -319,7 +325,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     // committed target itself), so a target that is still kUndetected when
     // dispatched is one the serial loop reaches unless a drop detects it
     // first; such a result is discarded at commit time.
-    PodemWindow window(model, testability, opts.podem, bank.pool());
+    PodemWindow window(model, testability, opts.podem, width > 1 ? pool : nullptr, width);
     std::size_t next = 0;  // next position of `order` to dispatch
     std::size_t batch_n = 0;
     auto commit = [&](Fault& f, const PodemResult& pr) {

@@ -35,9 +35,11 @@ struct AtpgOptions {
   int random_min_yield = 8;
   bool static_compaction = true;
   int max_patterns = 200000;
-  /// Worker threads for PODEM and fault simulation (the FaultSimBank's
-  /// pool): 1 = serial, <= 0 = hardware concurrency. The AtpgResult is
-  /// bit-identical for any value.
+  /// Fan-out width of PODEM speculation and fault-simulation chunks on the
+  /// pool the caller runs on (a sweep cell's, a server job's, an SOC
+  /// core's), not a thread count: 1 = serial, <= 0 = that pool's size. A
+  /// caller on no pool gets a pool of `jobs` workers (<= 0: hardware
+  /// concurrency) for the run. The AtpgResult is bit-identical for any value.
   int jobs = 1;
 };
 
@@ -92,7 +94,7 @@ struct AtpgResult {
 /// aborts,backtracks} and atpg.sim.{batches,faults_graded,cone_skips,
 /// node_evals,events} (identical for any opts.jobs), and the runtime gauges
 /// rt.atpg.{random,podem,compaction}_ms (phase wall clock) and rt.atpg.jobs
-/// (workers used). Each phase is also a trace span: "atpg.random",
+/// (fan-out width). Each phase is also a trace span: "atpg.random",
 /// "atpg.podem", "atpg.static_compaction".
 AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability,
                     const AtpgOptions& opts = {});

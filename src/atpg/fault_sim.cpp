@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -116,15 +115,13 @@ void FaultSimulator::grade(const Fault* const* faults, std::size_t count, Word* 
   }
 }
 
-FaultSimBank::FaultSimBank(const CombModel& model, int jobs) {
-  unsigned n = jobs <= 0 ? ThreadPool::default_concurrency() : static_cast<unsigned>(jobs);
-  if (n < 1) n = 1;
+FaultSimBank::FaultSimBank(const CombModel& model, ThreadPool* pool, int jobs)
+    : pool_(pool) {
+  const unsigned n =
+      jobs > 0 ? static_cast<unsigned>(jobs) : pool != nullptr ? pool->size() : 1u;
   sims_.reserve(n);
   for (unsigned i = 0; i < n; ++i) sims_.push_back(std::make_unique<FaultSimulator>(model));
-  if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
-
-FaultSimBank::~FaultSimBank() = default;
 
 void FaultSimBank::configure_lanes(int lane_words) {
   for (auto& sim : sims_) sim->configure_lanes(lane_words);
@@ -147,22 +144,21 @@ void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& d
   const std::size_t workers = sims_.size();
   // Tiny lists are not worth the dispatch; the result is identical either
   // way (each fault is graded exactly once, output indexed by position).
-  if (pool_ == nullptr || n < static_cast<std::size_t>(kWordBits) * workers) {
+  if (pool_ == nullptr || workers == 1 || n < static_cast<std::size_t>(kWordBits) * workers) {
     sims_.front()->grade(faults.data(), n, detect.data());
     return;
   }
-  std::vector<std::future<void>> done;
-  done.reserve(workers);
+  std::vector<ThreadPool::Fork<void>> chunks;
+  chunks.reserve(workers);
   for (std::size_t c = 0; c < workers; ++c) {
     const std::size_t lo = n * c / workers;
     const std::size_t hi = n * (c + 1) / workers;
-    if (lo == hi) continue;
-    done.push_back(pool_->submit([this, &faults, &detect, nw, c, lo, hi] {
+    chunks.push_back(pool_->fork([this, &faults, &detect, nw, c, lo, hi] {
       TPI_SPAN("atpg.grade_chunk");
       sims_[c]->grade(faults.data() + lo, hi - lo, detect.data() + lo * nw);
     }));
   }
-  for (auto& f : done) f.get();
+  for (ThreadPool::Fork<void>& chunk : chunks) chunk.join();
 }
 
 void FaultSimBank::first_detections(const std::vector<Fault*>& faults, std::size_t count,

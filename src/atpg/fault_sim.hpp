@@ -17,10 +17,11 @@
 // never from CPU capability, so detection words are bit-identical across
 // kernel backends.
 //
-// FaultSimBank partitions a fault list across per-worker FaultSimulator
-// instances (shared read-only CombModel, per-worker faulty-value scratch)
-// and merges detection results in fault-list order, so the outcome is
-// bit-identical to the serial path at any worker count.
+// FaultSimBank partitions a fault list across per-chunk FaultSimulator
+// instances (shared read-only CombModel, per-chunk faulty-value scratch),
+// forks the chunks onto the caller's pool and merges detection results in
+// fault-list order, so the outcome is bit-identical to the serial path at
+// any chunk count.
 //
 // Transition faults are graded over launch-on-capture pattern pairs loaded
 // with load_batch_loc(): the launch frame V1 is simulated, the capture
@@ -133,17 +134,17 @@ class FaultSimulator {
 };
 
 /// Deterministic parallel fault grading: the live fault list is split into
-/// one contiguous chunk per worker (chunk boundaries depend only on the
-/// list length and the worker count, never on scheduling), each worker
-/// grades its chunk on its own FaultSimulator, and the caller-visible merge
-/// happens on the calling thread in fault-list order. Result: bit-identical
-/// to the serial path for any `jobs`.
+/// one contiguous chunk per simulator (chunk boundaries depend only on the
+/// list length and jobs(), never on scheduling), each chunk is graded on
+/// its own FaultSimulator as one fork of the pool, and the caller-visible
+/// merge happens on the calling thread in fault-list order. Result:
+/// bit-identical to the serial path for any `jobs`. The bank owns no
+/// threads: its chunks run on the pool the caller runs on.
 class FaultSimBank {
  public:
-  /// jobs = 1 is serial (no pool); jobs <= 0 selects
-  /// ThreadPool::default_concurrency().
-  explicit FaultSimBank(const CombModel& model, int jobs = 1);
-  ~FaultSimBank();
+  /// `jobs` simulators, whose chunks grade() forks onto `pool` (null:
+  /// grade serially). jobs <= 0 selects the pool's size (1 without one).
+  FaultSimBank(const CombModel& model, ThreadPool* pool, int jobs);
 
   FaultSimBank(const FaultSimBank&) = delete;
   FaultSimBank& operator=(const FaultSimBank&) = delete;
@@ -154,10 +155,6 @@ class FaultSimBank {
   int lane_words() const { return sims_.front()->lane_words(); }
   /// Switch every worker's batch width.
   void configure_lanes(int lane_words);
-
-  /// The bank's jobs() worker threads; null when jobs() == 1. Other work
-  /// may share it (ATPG runs PODEM on it between grades).
-  ThreadPool* pool() const { return pool_.get(); }
 
   /// Load + evaluate the batch once (input-major wide layout, see
   /// FaultSimulator::load_batch), then copy the good state to every worker.
@@ -182,7 +179,7 @@ class FaultSimBank {
 
  private:
   std::vector<std::unique_ptr<FaultSimulator>> sims_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
+  ThreadPool* pool_;  ///< where grade() forks its chunks; null = serial
   std::vector<Word> detect_buf_;  ///< first_detections() scratch
 };
 

@@ -36,6 +36,9 @@ std::string job_label(const FlowConfig& cfg) {
 
 /// How long stop() lets connections finish sending their responses.
 constexpr std::chrono::milliseconds kConnDrainGrace{1000};
+/// Longest request line a connection buffers ('\n' excluded). A longer
+/// one is answered with request_too_large and the connection is closed.
+constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
 
 bool send_all(int fd, const std::string& data) {
   std::size_t off = 0;
@@ -88,13 +91,14 @@ std::shared_ptr<FlowServer::Job> FlowServer::find_job(std::uint64_t id) {
   return it == jobs_.end() ? nullptr : it->second;
 }
 
-void FlowServer::run_job(const std::shared_ptr<Job>& job, ThreadPool& pool) {
+void FlowServer::run_job(const std::shared_ptr<Job>& job) {
   const std::uint64_t wait_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - job->submitted)
           .count());
   metrics_.observe("server.queue_wait_ns", static_cast<double>(wait_ns));
   {
     std::lock_guard<std::mutex> lock(mu_);
+    --queued_jobs_;
     job->queue_wait_ns = wait_ns;
     if (job->cancel.load()) {
       job->state = JobState::kCancelled;
@@ -129,7 +133,7 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job, ThreadPool& pool) {
       {
         std::optional<ScopedTraceSink> scope;
         if (sink != nullptr) scope.emplace(*sink);
-        res = runner.run(pool, *cache_, &job->cancel);
+        res = runner.run(*ThreadPool::current(), *cache_, &job->cancel);
       }
       cancelled = res.cancelled;
       flow_json = soc_result_to_json(res);
@@ -255,40 +259,34 @@ std::string FlowServer::handle_request(const std::string& line) {
       if (!cfg.resolve_profile(profile, &err)) return fail(err);
     }
 
-    // Admission control: reject instead of queueing when the pool backlog
-    // is at the limit. The depth is advisory (another submit may race in),
-    // but the bound holds: a job is only enqueued after this check.
-    if (opts_.max_queue_depth > 0) {
-      const std::size_t depth = pool_->pending();
-      if (depth >= static_cast<std::size_t>(opts_.max_queue_depth)) {
-        metrics_.add("server.jobs_rejected");
-        JsonValue resp{JsonObject{}};
-        resp.set("id", id);
-        resp.set("error", "queue_full");
-        resp.set("queue_depth", static_cast<std::int64_t>(depth));
-        resp.set("queue_limit", opts_.max_queue_depth);
-        return resp.serialise();
-      }
-    }
-
     auto job = std::make_shared<Job>();
     job->config = std::move(cfg);
     job->submitted = Clock::now();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (shutdown_requested_ || stopping_) return fail("server is shutting down");
+      // Admission control: reject instead of queueing when the job backlog
+      // is at the limit (checked and counted under one lock, so it holds).
+      if (opts_.max_queue_depth > 0 &&
+          queued_jobs_ >= static_cast<std::size_t>(opts_.max_queue_depth)) {
+        metrics_.add("server.jobs_rejected");
+        JsonValue resp{JsonObject{}};
+        resp.set("id", id);
+        resp.set("error", "queue_full");
+        resp.set("queue_depth", static_cast<std::int64_t>(queued_jobs_));
+        resp.set("queue_limit", opts_.max_queue_depth);
+        return resp.serialise();
+      }
+      ++queued_jobs_;
       job->id = next_job_id_++;
       jobs_[job->id] = job;
       ++jobs_submitted_;
     }
     try {
-      // The task holds the pool itself: stop() nulls pool_ before the
-      // destructor drains queued jobs, and SOC jobs still fork onto it.
-      ThreadPool* pool = pool_.get();
-      pool->submit_prioritized(job->config.priority,
-                               [this, job, pool] { run_job(job, *pool); });
+      pool_->submit_prioritized(job->config.priority, [this, job] { run_job(job); });
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(mu_);
+      --queued_jobs_;
       job->state = JobState::kFailed;
       job->error = e.what();
     }
@@ -483,17 +481,31 @@ void FlowServer::accept_loop() {
 
 void FlowServer::serve_connection(int fd) {
   std::string buf;
+  std::size_t scanned = 0;  // buf[0, scanned) holds no '\n'
   char chunk[4096];
-  for (;;) {
+  bool open = true;
+  while (open) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;
     buf.append(chunk, static_cast<std::size_t>(n));
     std::size_t pos;
-    while ((pos = buf.find('\n')) != std::string::npos) {
+    // npos (no '\n' yet) fails the cap test as well.
+    while (open && (pos = buf.find('\n', scanned)) <= kMaxRequestBytes) {
       const std::string line = buf.substr(0, pos);
       buf.erase(0, pos + 1);
-      if (line.empty()) continue;
-      if (!send_all(fd, handle_request(line) + '\n')) break;
+      scanned = 0;
+      if (!line.empty()) open = send_all(fd, handle_request(line) + '\n');
+    }
+    scanned = buf.size();
+    if (open && scanned > kMaxRequestBytes) {
+      // Answer once and hang up: the rest of the line is never read.
+      metrics_.add("server.requests_oversized");
+      JsonValue resp{JsonObject{}};
+      resp.set("id", JsonValue{});
+      resp.set("error", "request_too_large");
+      resp.set("request_limit", static_cast<std::int64_t>(kMaxRequestBytes));
+      send_all(fd, resp.serialise() + '\n');
+      open = false;
     }
   }
   // Deregister before close: stop() must never shut down a reused fd.

@@ -13,9 +13,9 @@
 // environment. Jobs are scheduled on the shared ThreadPool with the
 // config's `priority` (higher first, FIFO within a level) and run with
 // cooperative cancellation: the cancel RPC flips the job's token, which
-// FlowEngine re-checks at every stage boundary. A SOC job fork-joins its
-// per-core flows onto the same pool (ThreadPool::fork_join) instead of
-// starting a pool of its own.
+// FlowEngine re-checks at every stage boundary. A SOC job's per-core flows
+// and an ATPG run's grading and PODEM fork onto the same pool instead of
+// starting a pool of their own.
 //
 // Each job runs against a private copy of a DesignCache entry's golden
 // netlist with the entry's warm views adopted, so repeat requests for one
@@ -27,7 +27,8 @@
 //
 // The JSON-RPC core (handle_request) is transport-free and fully
 // thread-safe; listen() adds the AF_UNIX front end (one accept thread,
-// one thread per connection). Tests drive handle_request in process, the
+// one thread per connection); a request line over 1 MiB is answered with
+// "request_too_large" (server.requests_oversized) and its connection closed. Tests drive handle_request in process, the
 // daemon binary and the load-test bench go through the socket.
 //
 // Telemetry (PR 8, DESIGN.md §14): a job submitted with "record_trace"
@@ -75,11 +76,11 @@ struct FlowServerOptions {
   int workers = 0;    ///< flow worker threads (<= 0: hardware concurrency)
   int cache_mb = 256; ///< DesignCache budget
   std::string socket_path = "tpi_server.sock";
-  /// Admission control: a submit arriving while this many tasks already
-  /// wait in the pool queue unclaimed (ThreadPool::pending()) is rejected
-  /// with a structured "queue_full" error carrying the current depth,
-  /// instead of queueing unboundedly. A running SOC job's cores are pool
-  /// tasks too, so its not-yet-started cores count toward the limit. 0 =
+  /// Admission control: a submit arriving while this many jobs already
+  /// wait unstarted in the pool queue is rejected with a structured
+  /// "queue_full" error carrying the current depth, instead of queueing
+  /// unboundedly. A running job's forks (SOC cores, ATPG grade chunks and
+  /// speculative PODEM targets) are bounded by that job and never count. 0 =
   /// unlimited (the seed behavior). From FlowConfig::server_queue_limit /
   /// TPI_SERVER_QUEUE_LIMIT.
   int max_queue_depth = 0;
@@ -139,7 +140,8 @@ class FlowServer {
     std::string error;       ///< set when state == kFailed
   };
 
-  void run_job(const std::shared_ptr<Job>& job, ThreadPool& pool);
+  /// Runs on a worker of pool_, the pool its forks (SOC cores, ATPG) use.
+  void run_job(const std::shared_ptr<Job>& job);
   std::shared_ptr<Job> find_job(std::uint64_t id);
   void accept_loop();
   void serve_connection(int fd);
@@ -158,6 +160,7 @@ class FlowServer {
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t jobs_submitted_ = 0;
+  std::size_t queued_jobs_ = 0;  ///< submitted, not yet started by a worker
   bool shutdown_requested_ = false;
   bool stopping_ = false;
 

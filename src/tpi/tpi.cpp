@@ -346,9 +346,4 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
   return report;
 }
 
-TpiReport insert_test_points(Netlist& nl, const TpiOptions& opts) {
-  DesignDB db(nl);
-  return insert_test_points(db, opts);
-}
-
 }  // namespace tpi

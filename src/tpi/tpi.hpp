@@ -64,10 +64,6 @@ struct TpiReport {
 /// the netlist) and journals which nets its insertions changed.
 TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts);
 
-/// Compatibility overload over a bare netlist (wraps it in a throwaway
-/// DesignDB).
-TpiReport insert_test_points(Netlist& nl, const TpiOptions& opts);
-
 /// Exposed for tests and the ablation benches: rank candidate nets for one
 /// insertion round (lowest score = best candidate).
 std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResult& t,

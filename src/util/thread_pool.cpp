@@ -11,7 +11,7 @@ using Clock = std::chrono::steady_clock;
 
 /// The pool whose worker this thread is (nullptr elsewhere), and the
 /// priority of the task it is running.
-thread_local const ThreadPool* t_pool = nullptr;
+thread_local ThreadPool* t_pool = nullptr;
 thread_local int t_priority = 0;
 
 }  // namespace
@@ -38,20 +38,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker() const { return t_pool == this; }
+ThreadPool* ThreadPool::current() { return t_pool; }
 
 int ThreadPool::running_priority() { return t_priority; }
 
 void ThreadPool::push_locked(std::function<void()> fn, int priority,
                              std::atomic<bool>* claim, TraceSink* sink) {
   queue_.push(Task{std::move(fn), Clock::now(), priority, next_seq_++, claim, sink});
-  unclaimed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::try_claim(std::atomic<bool>* claim) {
-  if (claim != nullptr && claim->exchange(true, std::memory_order_acq_rel)) return false;
-  unclaimed_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  return claim == nullptr || !claim->exchange(true, std::memory_order_acq_rel);
 }
 
 void ThreadPool::run_timed(const std::function<void()>& fn, Clock::time_point enqueued) {

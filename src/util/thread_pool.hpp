@@ -1,15 +1,17 @@
-// Fixed-size thread pool used by the sweep runners, the SOC layer and the
-// flow server. Deliberately minimal: a single priority queue (stable FIFO
-// within one priority level), futures for results and exception
-// propagation. Plain submit() enqueues at priority 0, so a pool fed only
-// through submit() behaves exactly like the original FIFO pool;
+// Fixed-size thread pool used by the sweep runners, the SOC layer, the
+// flow server and ATPG. Deliberately minimal: a single priority queue
+// (stable FIFO within one priority level), futures for results and
+// exception propagation. Plain submit() enqueues at priority 0, so a pool
+// fed only through submit() behaves exactly like the original FIFO pool;
 // submit_prioritized() lets the flow server run urgent tenants ahead of
 // queued batch work. With one worker the pool degrades to deterministic
 // serial execution, which the parallel-vs-serial equivalence tests rely on.
 //
-// Nested work: fork_join() lets a task fan out onto the pool it runs on
-// (a SOC sweep cell forking its cores, a server SOC job) without deadlock
-// and without a private pool; see its join rule.
+// Nested work: fork() queues one claimable child task and fork_join() a
+// loop of them, so a task fans out onto the pool it runs on (a SOC sweep
+// cell forking its cores, a server SOC job, an ATPG run grading faults and
+// speculating PODEM targets) without deadlock and without a private pool;
+// see the join rule at fork().
 //
 // Every task's queue wait (submit -> start) and run latency are recorded
 // into MetricsRegistry::global() as the rt.threadpool.* histograms, so the
@@ -50,11 +52,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Queued tasks no thread has claimed yet. A fork_join child stops
-  /// counting the moment its forker claims it to run inline, even though
-  /// its queue entry lingers until a worker pops and discards it.
-  std::size_t pending() const { return unclaimed_.load(std::memory_order_relaxed); }
-
   /// std::thread::hardware_concurrency() with a floor of 1 (the standard
   /// allows it to return 0 when unknowable).
   static unsigned default_concurrency();
@@ -83,55 +80,98 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(0) .. fn(n-1) as n pool tasks and return their results in
-  /// index order. Returns (or throws) only once every task has finished;
-  /// if any threw, the exception of the lowest index is rethrown.
-  ///
-  /// Join rule: when the caller is a worker of this pool, it first runs,
-  /// inline and in index order, each of these tasks that no worker has
-  /// claimed yet, then blocks for the rest; any other thread just blocks,
-  /// as future::get() would. A task only ever waits on its own children,
-  /// so nested fan-out on one pool is deadlock-free, and a one-worker pool
-  /// runs it serially in index order. The children queue at the forking
-  /// task's priority (0 when called from outside the pool) and record
-  /// their spans into the caller's TraceSink.
-  template <typename F>
-  auto fork_join(std::size_t n, F&& fn) -> std::vector<std::invoke_result_t<F&, std::size_t>> {
-    using R = std::invoke_result_t<F&, std::size_t>;
+  /// Handle to one forked task (see fork()). A handle destroyed before
+  /// join() waits for its task first, so no task outlives the state it
+  /// references.
+  template <typename R>
+  class Fork {
+   public:
+    Fork(Fork&&) noexcept = default;
+    ~Fork() { wait(); }
+
+    /// Returns once the task has finished, running it inline under the
+    /// join rule. A no-op once joined.
+    void wait() {
+      if (!result_.valid()) return;
+      if (current() == pool_ && try_claim(&child_->claimed)) {
+        run_timed([this] { child_->run(); }, forked_);
+      }
+      result_.wait();
+    }
+
+    /// wait(), then the task's result (or its exception, rethrown).
+    R join() {
+      wait();
+      return result_.get();
+    }
+
+   private:
+    friend class ThreadPool;
     struct Child {
-      std::atomic<bool> claimed{false};
+      std::atomic<bool> claimed{false};  ///< whoever flips it runs `run`
       std::packaged_task<R()> run;
     };
-    std::vector<std::shared_ptr<Child>> children;
-    std::vector<std::future<R>> results;
-    const bool nested = on_worker();
-    const auto forked = std::chrono::steady_clock::now();
+
+    Fork(ThreadPool* pool, std::shared_ptr<Child> child)
+        : pool_(pool),
+          child_(std::move(child)),
+          result_(child_->run.get_future()),
+          forked_(std::chrono::steady_clock::now()) {}
+
+    ThreadPool* pool_;
+    std::shared_ptr<Child> child_;
+    std::future<R> result_;  ///< invalid once joined (or moved from)
+    std::chrono::steady_clock::time_point forked_;
+  };
+
+  /// Queue `fn` as a claimable child of the calling task and return its
+  /// handle, the single primitive for nested work (fork_join() loops it).
+  ///
+  /// Join rule: when the joining thread is a worker of this pool and no
+  /// worker has claimed the child yet, the joiner claims it and runs it
+  /// inline; otherwise it blocks until the child has finished, as
+  /// future::get() would. A task only ever waits on its own children, so
+  /// nested fan-out on one pool is deadlock-free, and a one-worker pool
+  /// runs it serially in join order. The child queues at the forking
+  /// task's priority (0 when forked from outside the pool) plus
+  /// `priority_offset`, and records its spans into the forker's TraceSink.
+  template <typename F>
+  auto fork(F&& fn, int priority_offset = 0) -> Fork<std::invoke_result_t<F>> {
+    using R = std::invoke_result_t<F>;
+    auto child = std::make_shared<typename Fork<R>::Child>();
+    child->run = std::packaged_task<R()>(std::forward<F>(fn));
+    const bool nested = current() == this;
     {
       std::lock_guard<std::mutex> lock(mu_);
       // A draining pool still takes its own workers' children: the forker
       // runs whatever nobody else claims, so none can be stranded.
-      if (stopping_ && !nested) {
-        throw std::runtime_error("ThreadPool: fork_join() after shutdown");
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        auto child = std::make_shared<Child>();
-        child->run = std::packaged_task<R()>([&fn, i] { return fn(i); });
-        results.push_back(child->run.get_future());
-        push_locked([child] { child->run(); }, nested ? running_priority() : 0,
-                    &child->claimed, current_trace_sink());
-        children.push_back(std::move(child));
-      }
+      if (stopping_ && !nested) throw std::runtime_error("ThreadPool: fork() after shutdown");
+      push_locked([child] { child->run(); },
+                  (nested ? running_priority() : 0) + priority_offset, &child->claimed,
+                  current_trace_sink());
     }
-    cv_.notify_all();
-    for (const std::shared_ptr<Child>& child : children) {
-      if (nested && try_claim(&child->claimed)) run_timed([&child] { child->run(); }, forked);
-    }
-    for (std::future<R>& r : results) r.wait();
+    cv_.notify_one();
+    return Fork<R>(this, std::move(child));
+  }
+
+  /// Run fn(0) .. fn(n-1) as n forks, joined in index order, and return
+  /// their results in index order. Returns (or throws) only once every fork
+  /// has finished; if any threw, the lowest index's exception is rethrown.
+  template <typename F>
+  auto fork_join(std::size_t n, F&& fn) -> std::vector<std::invoke_result_t<F&, std::size_t>> {
+    using R = std::invoke_result_t<F&, std::size_t>;
+    std::vector<Fork<R>> children;
+    children.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) children.push_back(fork([&fn, i] { return fn(i); }));
+    for (Fork<R>& child : children) child.wait();
     std::vector<R> out;
     out.reserve(n);
-    for (std::future<R>& r : results) out.push_back(r.get());
+    for (Fork<R>& child : children) out.push_back(child.join());
     return out;
   }
+
+  /// The pool whose worker the calling thread is; null on any other thread.
+  static ThreadPool* current();
 
  private:
   struct Task {
@@ -139,7 +179,7 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued;
     int priority = 0;
     std::uint64_t seq = 0;
-    /// fork_join children only: whoever flips `claim` first runs the task,
+    /// Forked children only: whoever flips `claim` first runs the task,
     /// under the forker's `sink` when a worker runs it.
     std::atomic<bool>* claim = nullptr;
     TraceSink* sink = nullptr;
@@ -155,13 +195,11 @@ class ThreadPool {
   void push_locked(std::function<void()> fn, int priority, std::atomic<bool>* claim,
                    TraceSink* sink);
   /// True when the caller won `claim` (always, for plain tasks).
-  bool try_claim(std::atomic<bool>* claim);
+  static bool try_claim(std::atomic<bool>* claim);
   /// Runs `fn`, recording the rt.threadpool.* metrics.
   static void run_timed(const std::function<void()>& fn,
                         std::chrono::steady_clock::time_point enqueued);
-  /// Whether the calling thread is one of this pool's workers, and the
-  /// priority of the task it is running.
-  bool on_worker() const;
+  /// Priority of the task the calling worker is running.
   static int running_priority();
   void worker_loop();
 
@@ -170,7 +208,6 @@ class ThreadPool {
   std::priority_queue<Task> queue_;
   std::vector<std::thread> workers_;
   std::uint64_t next_seq_ = 0;
-  std::atomic<std::size_t> unclaimed_{0};
   bool stopping_ = false;
 };
 

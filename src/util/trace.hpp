@@ -21,9 +21,9 @@
 // for two traced jobs interleaving in one TPI_TRACE file. An active sink
 // also enables tracing on its own (refcounted into the same flag the
 // global switch uses), so per-job recording needs no process-wide enable.
-// Tasks forked with ThreadPool::fork_join inherit the forking thread's
-// sink; spans from other pools' workers (fault-sim bank threads) have no
-// sink scope and keep landing in the global log.
+// Tasks forked with ThreadPool::fork or fork_join (SOC cores, ATPG grade
+// chunks and speculative PODEM targets) inherit the forking thread's sink,
+// whichever worker runs them.
 //
 // Span names must outlive the export (string literals in practice): the
 // log stores the pointer, never a copy.
@@ -49,9 +49,6 @@ std::uint64_t now_ns();
 /// Append one complete span to the calling thread's sink (when scoped) or
 /// the thread's global log.
 void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns);
-
-/// Stable id of the calling thread in trace exports (registers on first use).
-std::uint32_t thread_tid();
 
 }  // namespace trace_detail
 

@@ -2,21 +2,28 @@
 // bit-identical AtpgResult for any AtpgOptions::jobs (speculative PODEM
 // results are committed in target order; FaultSimBank partitions
 // deterministically and merges in fault-list order). Runs at jobs ∈ {1, 2,
-// 4, hardware} on two generated circuit profiles; carries the "smoke"
-// ctest label so a -DTPI_SANITIZE=thread build doubles as a data-race
-// check of both parallel paths.
+// 4, hardware} on two generated circuit profiles, and nested: concurrent
+// runs on every worker of a shared pool. Carries the "smoke" ctest label
+// so a -DTPI_SANITIZE=thread build doubles as a data-race check of both
+// parallel paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "../common/test_circuits.hpp"
+#include "../common/watchdog.hpp"
 #include "atpg/atpg.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpi {
 namespace {
@@ -28,7 +35,7 @@ using test::lib;
 struct AtpgRun {
   AtpgResult result;
   std::string counters;
-  int jobs = 0;            ///< workers used (the rt.atpg.jobs gauge)
+  int jobs = 0;            ///< fan-out width (the rt.atpg.jobs gauge)
   double discarded = 0.0;  ///< rt.atpg.podem_discarded
   double faults_graded = 0.0;  ///< atpg.sim.faults_graded
 };
@@ -38,7 +45,8 @@ AtpgRun run_with_jobs(const CircuitProfile& profile, int jobs, int test_points =
   if (test_points > 0) {
     TpiOptions to;
     to.num_test_points = test_points;
-    insert_test_points(*nl, to);
+    DesignDB db(*nl);
+    insert_test_points(db, to);
   }
   ScanOptions so;
   so.max_chain_length = 16;
@@ -102,9 +110,9 @@ TEST(AtpgParallelTest, BitIdenticalAcrossJobCountsOnTinyProfile) {
   expect_bit_identical(serial, hw);
 }
 
-TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
-  // Second profile: gated hard blocks + test points, the shape that makes
-  // the paper's Table 1 interesting — and drives PODEM + compaction harder.
+// Gated hard blocks + test points, the shape that makes the paper's
+// Table 1 interesting — and drives PODEM + compaction harder.
+CircuitProfile hard_block_profile() {
   CircuitProfile p = test::tiny_profile(7);
   p.num_comb_gates = 900;
   p.num_ffs = 60;
@@ -112,7 +120,11 @@ TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
   p.hard_block_width = 10;
   p.hard_classes_per_block = 12;
   p.hard_mode_bits = 5;
+  return p;
+}
 
+TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
+  const CircuitProfile p = hard_block_profile();
   const AtpgRun serial = run_with_jobs(p, 1, 4);
   // The window commits every PODEM outcome here, not just tests.
   EXPECT_GT(serial.result.podem_aborts, 0);
@@ -128,6 +140,36 @@ TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
     // the fault simulation of an earlier batch before they are committed,
     // and their results are thrown away.
     EXPECT_GT(parallel.discarded, 0.0);
+  }
+}
+
+// Nested ATPG: every worker of the pool runs run_atpg at jobs = 4 at the
+// same time, so each run grades and speculates on a pool whose workers are
+// all committers of some run. The join rule must keep that from
+// deadlocking (the watchdog fails a hang), and each run must still equal
+// the off-pool serial run bit for bit.
+TEST(AtpgParallelTest, ConcurrentRunsOnEveryPoolWorkerMatchSerial) {
+  const CircuitProfile p = hard_block_profile();
+  const AtpgRun serial = run_with_jobs(p, 1, 4);
+  for (const unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(workers);
+    std::vector<AtpgRun> runs;
+    test::run_with_watchdog([&] {
+      ThreadPool pool(workers);
+      std::atomic<unsigned> arrived{0};
+      runs = pool.fork_join(workers, [&](std::size_t) {
+        // Start together: no worker may finish its run before the others
+        // have begun theirs.
+        ++arrived;
+        while (arrived.load() < workers) std::this_thread::yield();
+        return run_with_jobs(p, 4, 4);
+      });
+    });
+    ASSERT_EQ(runs.size(), workers);
+    for (const AtpgRun& run : runs) {
+      EXPECT_EQ(run.jobs, 4);
+      expect_bit_identical(serial, run);
+    }
   }
 }
 
@@ -151,7 +193,8 @@ TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {
   for (Fault* f : faults) expected.push_back(serial.detects(*f));
 
   for (const int jobs : {1, 2, 3}) {
-    FaultSimBank bank(model, jobs);
+    ThreadPool pool(static_cast<unsigned>(jobs));
+    FaultSimBank bank(model, &pool, jobs);
     bank.load_batch(words);
     std::vector<Word> got;
     bank.grade(faults, got);
@@ -164,7 +207,8 @@ TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {
 TEST(AtpgParallelTest, FirstDetectionsGradesRedundantAndAbortedFaults) {
   auto nl = test::make_small_comb();
   CombModel model(*nl, SeqView::kCapture);
-  FaultSimBank bank(model, 2);
+  ThreadPool pool(2);
+  FaultSimBank bank(model, &pool, 2);
   // Exhaustive batch over the 3 inputs.
   std::vector<Word> words(3, 0);
   for (int row = 0; row < 8; ++row) {

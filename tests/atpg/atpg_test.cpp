@@ -5,6 +5,7 @@
 #include "../common/test_circuits.hpp"
 #include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
 #include "util/rng.hpp"
@@ -99,7 +100,8 @@ TEST(AtpgTest, TestPointsReducePatternsOnHardCircuit) {
     auto nl = generate_circuit(lib(), p);
     TpiOptions to;
     to.num_test_points = tps;
-    insert_test_points(*nl, to);
+    DesignDB db(*nl);
+    insert_test_points(db, to);
     ScanOptions so;
     so.max_chain_length = 16;
     insert_scan(*nl, so);

@@ -5,6 +5,7 @@
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpi {
 namespace {
@@ -151,7 +152,7 @@ TEST_F(SmallCombFaultSim, StatsCountGradedFaultsAndEvents) {
 }
 
 TEST_F(SmallCombFaultSim, FirstDetectionsReportsFirstDetector) {
-  FaultSimBank bank(*model_, 1);
+  FaultSimBank bank(*model_, nullptr, 1);
   bank.load_batch(exhaustive_words());
   std::vector<Fault> faults{stem("y", false), stem("y", true), stem("w", false)};
   std::vector<Fault*> ptrs{&faults[0], &faults[1], &faults[2]};
@@ -173,7 +174,7 @@ TEST_F(SmallCombFaultSim, FirstDetectionsMasksLanesPastCount) {
   // All 64 lanes hold a vector, but only the first `count` are patterns of
   // the batch. y-sa0 is detected on row 4 alone and z-sa1 on every row but
   // 4 (lanes 8..63 repeat row 0).
-  FaultSimBank bank(*model_, 1);
+  FaultSimBank bank(*model_, nullptr, 1);
   bank.load_batch(exhaustive_words());
   Fault y0 = stem("y", false);
   Fault z1 = stem("z", true);
@@ -212,7 +213,8 @@ TEST(FaultSimConeTest, ConeSkipStatsNonzeroAndJobInvariant) {
   FaultSimStats by_jobs[2];
   int idx = 0;
   for (const int jobs : {1, 3}) {
-    FaultSimBank bank(model, jobs);
+    ThreadPool pool(static_cast<unsigned>(jobs));
+    FaultSimBank bank(model, &pool, jobs);
     std::vector<Fault*> live;
     for (Fault& f : fl.faults) {
       if (f.status != FaultStatus::kScanTested) live.push_back(&f);

@@ -16,6 +16,7 @@
 #include "scan/scan.hpp"
 #include "sim/simd.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpi {
 namespace {
@@ -166,7 +167,8 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
   std::vector<Word> serial;
   for (const int jobs : {1, 2, 4}) {
     SCOPED_TRACE(jobs);
-    FaultSimBank bank(model, jobs);
+    ThreadPool pool(static_cast<unsigned>(jobs));
+    FaultSimBank bank(model, &pool, jobs);
     bank.load_batch_loc(words);
     std::vector<Word> detect;
     bank.grade(faults, detect);

@@ -7,6 +7,7 @@
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "tpi/tpi.hpp"
 
 namespace tpi {
@@ -116,7 +117,8 @@ TEST(LbistTest, TestPointsLiftPseudoRandomCoverage) {
   auto pointed = generate_circuit(lib(), p);
   TpiOptions tpi_opts;
   tpi_opts.num_test_points = 3;
-  insert_test_points(*pointed, tpi_opts);
+  DesignDB db(*pointed);
+  insert_test_points(db, tpi_opts);
 
   LbistOptions opts;
   opts.max_patterns = 8192;

@@ -7,6 +7,7 @@
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "sim/seq_sim.hpp"
 #include "tpi/tpi.hpp"
 
@@ -44,7 +45,8 @@ TEST(ScanInsertTest, TsffsRehomedToSharedEnable) {
   auto nl = generate_circuit(lib(), test::tiny_profile(43));
   TpiOptions tpi;
   tpi.num_test_points = 3;
-  insert_test_points(*nl, tpi);
+  DesignDB db(*nl);
+  insert_test_points(db, tpi);
   ScanOptions opts;
   const ScanInsertReport report = insert_scan(*nl, opts);
   for (const CellId tp : nl->test_points()) {

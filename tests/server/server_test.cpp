@@ -10,11 +10,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -26,6 +28,7 @@
 #include "server/client.hpp"
 #include "circuits/design_cache.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "tpi/tpi.hpp"
 #include "util/json.hpp"
 
@@ -418,7 +421,8 @@ TEST(DesignCacheTest, CompactedEntryServesFlowsIdenticalToAFreshEngine) {
   Netlist checkout = golden;
   TpiOptions tpi;
   tpi.num_test_points = 4;
-  const TpiReport report = insert_test_points(checkout, tpi);
+  DesignDB db(checkout);
+  const TpiReport report = insert_test_points(db, tpi);
   ASSERT_FALSE(report.nets_changed_per_round.empty());
   for (const int n : report.nets_changed_per_round) EXPECT_GE(n, 0);
 
@@ -758,6 +762,101 @@ TEST(FlowServerTest, StopDoesNotWaitForAClientThatNeverReads) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   ::close(fd);
   EXPECT_LT(stop_s, 10.0);
+}
+
+// A client that never ends its line cannot grow the server's buffer
+// without bound: past the 1 MiB cap it gets one structured error, the
+// connection closes, and the server goes on serving other connections.
+TEST(FlowServerTest, OversizedRequestLineIsRejectedAndClosed) {
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.socket_path = test_socket_path("oversized");
+  FlowServer server(tiny_base(), opts);
+  std::string error;
+  ASSERT_TRUE(server.listen(&error)) << error;
+
+  const int fd = connect_raw(server.socket_path());
+  ASSERT_GE(fd, 0);
+  constexpr std::size_t kCap = std::size_t{1} << 20;
+  std::string received;
+  std::size_t sent = 0;
+  test::run_with_watchdog([&] {
+    std::thread reader([fd, &received] {
+      char chunk[4096];
+      for (;;) {
+        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        if (n <= 0) break;
+        received.append(chunk, static_cast<std::size_t>(n));
+      }
+    });
+    // No '\n' ever: write until the server hangs up (EPIPE) or 4x the cap.
+    const std::string junk(64 * 1024, 'x');
+    while (sent < 4 * kCap) {
+      const ssize_t n = ::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL);
+      if (n < 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);  // a server that kept reading sees EOF here
+    reader.join();
+  });
+  ::close(fd);
+  EXPECT_GT(sent, kCap);
+  EXPECT_LT(sent, 4 * kCap) << "the server kept reading past the cap";
+
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.back(), '\n');
+  const JsonValue resp = parse_response(received.substr(0, received.size() - 1));
+  ASSERT_NE(resp.find("error"), nullptr) << received;
+  EXPECT_EQ(resp.find("error")->as_string(), "request_too_large");
+  EXPECT_EQ(resp.find("request_limit")->as_number(), static_cast<double>(kCap));
+  const MetricsSnapshot snap = server.metrics_snapshot();
+  const MetricValue* oversized = snap.find("server.requests_oversized");
+  ASSERT_NE(oversized, nullptr);
+  EXPECT_EQ(oversized->count, 1u);
+
+  FlowClient client;
+  ASSERT_TRUE(client.connect(server.socket_path(), &error)) << error;
+  std::string response;
+  ASSERT_TRUE(client.rpc("stats", "", &response, &error)) << error;
+  EXPECT_NE(parse_response(response).find("result"), nullptr) << response;
+  client.close();
+  server.stop();
+}
+
+// Threads of this process, one /proc/self/task entry each.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A job's ATPG fans out on the server's own pool: a job at "atpg_jobs": 4
+// on a 2-worker server never raises the process's thread count (a pool per
+// ATPG run used to add four threads to every such job).
+TEST(FlowServerTest, AtpgJobsAddNoThreadsToTheServer) {
+  FlowServerOptions opts;
+  opts.workers = 2;
+  FlowServer server(tiny_base(), opts);
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> before{0};
+  std::size_t peak = 0;
+  std::thread sampler([&] {
+    // The sampler is counted from the first sample on.
+    const std::size_t first = thread_count();
+    peak = first;
+    before.store(first);
+    while (!stop.load()) peak = std::max(peak, thread_count());
+  });
+  while (before.load() == 0) std::this_thread::yield();
+  const std::uint64_t job =
+      submit(server, "{\"atpg_jobs\": 4, \"scale\": 0.03, \"tp_percent\": 2.0}");
+  EXPECT_EQ(wait_result(server, job).find("state")->as_string(), "done");
+  stop.store(true);
+  sampler.join();
+  EXPECT_LE(peak, before.load());
 }
 
 TEST(FlowServerTest, ProtocolErrors) {

@@ -4,6 +4,7 @@
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
+#include "netlist/design_db.hpp"
 #include "sim/seq_sim.hpp"
 #include "util/rng.hpp"
 
@@ -16,7 +17,8 @@ TEST(TpiInsertionTest, InsertsRequestedCount) {
   auto nl = generate_circuit(lib(), test::tiny_profile(11));
   TpiOptions opts;
   opts.num_test_points = 5;
-  const TpiReport report = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport report = insert_test_points(db, opts);
   EXPECT_EQ(report.test_points.size(), 5u);
   EXPECT_EQ(nl->test_points().size(), 5u);
   EXPECT_TRUE(nl->validate().empty()) << nl->validate();
@@ -27,7 +29,8 @@ TEST(TpiInsertionTest, ZeroIsNoOp) {
   const std::size_t cells = nl->num_cells();
   TpiOptions opts;
   opts.num_test_points = 0;
-  insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  insert_test_points(db, opts);
   EXPECT_EQ(nl->num_cells(), cells);
 }
 
@@ -35,7 +38,8 @@ TEST(TpiInsertionTest, TestPointsFullyConnected) {
   auto nl = generate_circuit(lib(), test::tiny_profile(12));
   TpiOptions opts;
   opts.num_test_points = 4;
-  const TpiReport report = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport report = insert_test_points(db, opts);
   for (const CellId tp : report.test_points) {
     const CellInst& inst = nl->cell(tp);
     const CellSpec* spec = inst.spec;
@@ -61,7 +65,8 @@ TEST(TpiInsertionTest, ApplicationModeBehaviourPreserved) {
   auto modified = generate_circuit(lib(), p);
   TpiOptions opts;
   opts.num_test_points = 6;
-  insert_test_points(*modified, opts);
+  DesignDB db(*modified);
+  insert_test_points(db, opts);
 
   SequentialSim ref(*golden);
   SequentialSim dut(*modified);
@@ -92,13 +97,15 @@ TEST(TpiInsertionTest, ExcludedNetsAreRespected) {
   auto probe = generate_circuit(lib(), p);
   TpiOptions opts;
   opts.num_test_points = 3;
-  const TpiReport first = insert_test_points(*probe, opts);
+  DesignDB probe_db(*probe);
+  const TpiReport first = insert_test_points(probe_db, opts);
   ASSERT_EQ(first.sites.size(), 3u);
 
   // Re-run on a fresh copy with the first choice excluded.
   auto nl = generate_circuit(lib(), p);
   opts.excluded_nets = {first.sites.begin(), first.sites.end()};
-  const TpiReport second = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport second = insert_test_points(db, opts);
   for (const NetId site : second.sites) {
     EXPECT_FALSE(opts.excluded_nets.contains(site));
   }
@@ -151,7 +158,8 @@ TEST(TpiInsertionTest, InsertionImprovesTestability) {
   }
   TpiOptions opts;
   opts.num_test_points = 4;
-  insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  insert_test_points(db, opts);
   CombModel after_model(*nl, SeqView::kCapture);
   const TestabilityResult after = analyze_testability(after_model);
   // Average hardness (in probability bits) must improve on hard nets.

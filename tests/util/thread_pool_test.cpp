@@ -70,15 +70,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ThreadPoolTest, PendingDrainsToZero) {
-  ThreadPool pool(2);
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(pool.submit([] {}));
-  for (auto& f : futs) f.get();
-  // Queue empty once everything completed.
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
 TEST(ThreadPoolTest, HigherPriorityJumpsTheQueue) {
   // Occupy the single worker with a gated task, queue work at mixed
   // priorities, then release: the backlog must drain highest-first with
@@ -167,7 +158,6 @@ TEST(ThreadPoolTest, ThreeLevelForkJoinOnTwoWorkersCompletes) {
       // sum over k<4, l<2 of 100c + 10k + l = 800c + 120 + 4.
       EXPECT_EQ(cells[c], static_cast<int>(800 * c + 124)) << c;
     }
-    EXPECT_EQ(pool.pending(), 0u);
   });
 }
 
@@ -194,21 +184,23 @@ TEST(ThreadPoolTest, ForkJoinRethrowsOnlyAfterEverySiblingFinished) {
   EXPECT_EQ(pool.fork_join(3, [](std::size_t i) { return i; }).back(), 2u);
 }
 
-// pending() counts only unclaimed tasks: children the forker already ran
-// inline no longer count, though their queue entries are still queued.
-TEST(ThreadPoolTest, PendingIgnoresChildrenClaimedInline) {
+// A fork queues at its forker's priority plus the offset (speculative work
+// goes below its forker's other children), and a handle dropped unjoined
+// waits for its task, so the task never outlives what it references.
+TEST(ThreadPoolTest, ForkQueuesAtOffsetAndAnUnjoinedHandleWaits) {
   run_with_watchdog([] {
     ThreadPool pool(1);
-    std::vector<std::size_t> pending_seen;
-    pool.submit([&pool, &pending_seen] {
-          pool.fork_join(4, [&pool, &pending_seen](std::size_t) {
-            pending_seen.push_back(pool.pending());
-            return 0;
-          });
-          pending_seen.push_back(pool.pending());
-        })
-        .get();
-    EXPECT_EQ(pending_seen, (std::vector<std::size_t>{3, 2, 1, 0, 0}));
+    std::promise<void> gate;
+    auto blocker = pool.submit([opened = gate.get_future().share()] { opened.wait(); });
+    std::vector<int> order;
+    {
+      auto low = pool.fork([&order] { order.push_back(-1); }, -1);
+      auto high = pool.fork([&order] { order.push_back(0); });
+      gate.set_value();
+      blocker.get();
+    }  // neither handle joined: both tasks ran before the scope closed
+    EXPECT_EQ(order, (std::vector<int>{0, -1}));
+    EXPECT_EQ(pool.fork([] { return 7; }).join(), 7);
   });
 }
 
